@@ -524,13 +524,16 @@ def bench_batch_yield(results: List[dict], quick: bool) -> dict:
 
     Runs ``run_yield_chunk`` (sampling, 4-stage spare-aware repair,
     exhaustive verification) in-process on ``max46`` with elevated
-    defect rates, batched arena pipeline vs the per-trial loop — both
-    on the NumPy backend, so the ratio is the batching win alone.  The
-    per-sample outcome dicts are asserted identical before timing; the
-    record embeds the kernel run's ``eval.batch.*`` perf snapshot.
+    defect rates through the batched arena pipeline, against the
+    per-trial loop — the same defect maps sampled, then
+    ``repair_config`` called map by map.  Both run on the NumPy
+    backend, so the ratio is the batching win alone.  The per-sample
+    outcomes are asserted identical before timing; the record embeds
+    the batched run's ``eval.batch.*`` perf snapshot.
     """
-    from repro import eval as batch_eval
+    from repro.core.defects import DefectMap, DefectModel
     from repro.robustness import yield_engine
+    from repro.robustness.repair import repair_config
 
     samples = 40 if quick else 100
     payload = {
@@ -541,27 +544,40 @@ def bench_batch_yield(results: List[dict], quick: bool) -> dict:
         },
         "start": 0, "count": samples,
     }
+    settings = yield_engine.YieldSettings(**payload["settings"])
+    model = DefectModel(p_stuck_off=settings.p_stuck_off,
+                        p_stuck_on=settings.p_stuck_on,
+                        p_pg_leak=settings.p_pg_leak)
+
+    def run_batched():
+        return yield_engine.run_yield_chunk(payload)
+
+    def run_per_trial():
+        function, config, fabric, golden = yield_engine._prepared(settings)
+        return [repair_config(
+            config, fabric,
+            DefectMap.sample(fabric.n_physical_rows, fabric.n_columns,
+                             model, settings.seed * 1_000_003 + j),
+            golden, function=function, reminimize=settings.reminimize)
+            for j in range(samples)]
 
     with kernels.forced_backend("numpy"):
-        yield_engine._prepared(  # synthesize outside the clock
-            yield_engine.YieldSettings(**payload["settings"]))
-        with batch_eval.forced_batch(True):
-            batched = yield_engine.run_yield_chunk(payload)
-        with batch_eval.forced_batch(False):
-            per_trial = yield_engine.run_yield_chunk(payload)
-        if batched != per_trial:  # pragma: no cover - differential guard
+        yield_engine._prepared(settings)  # synthesize outside the clock
+        batched = run_batched()
+        per_trial = run_per_trial()
+        if [(r["defects"], r["status"], r["exact"], r["frac"], r["sr"],
+             r["sc"]) for r in batched] != \
+                [(o.n_defects, o.status, o.exact, o.correct_fraction,
+                  o.spare_rows_used, o.spare_cols_used)
+                 for o in per_trial]:  # pragma: no cover - differential guard
             raise AssertionError("batched yield outcomes differ from the "
                                  "per-trial loop")
 
-        def run(flag):
-            with batch_eval.forced_batch(flag):
-                return yield_engine.run_yield_chunk(payload)
-
         reps = 2 if quick else 3
-        kernel_s = _best_of(lambda: run(True), reps)
-        scalar_s = _best_of(lambda: run(False), reps)
+        kernel_s = _best_of(run_batched, reps)
+        scalar_s = _best_of(run_per_trial, reps)
         perf.reset()
-        run(True)  # one instrumented pass for the eval.batch.* snapshot
+        run_batched()  # one instrumented pass for the eval.batch.* snapshot
         snapshot = perf.snapshot()
 
     record = _record(
@@ -607,10 +623,6 @@ def main(argv=None) -> int:
                              "eval.batch.* perf snapshot as JSON (CI "
                              "uploads it as an artifact)")
     args = parser.parse_args(argv)
-
-    if not kernels._HAVE_NUMPY:
-        print("NumPy unavailable: nothing to compare", file=sys.stderr)
-        return 1
 
     print(f"bench_perf (quick={args.quick}, seed={args.seed}, "
           f"jobs={args.jobs})")

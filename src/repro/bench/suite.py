@@ -170,15 +170,15 @@ def verify_suite(benchmarks: Optional[Sequence[BenchmarkStats]] = None,
     mapping passes when the output masks agree on every vector.
     Returns ``{benchmark name: bool}``.
 
-    With the batch path enabled (``REPRO_KERNEL`` + ``REPRO_EVAL_BATCH``)
-    all covers are packed into one :class:`CoverArena` and all
-    configurations into one heterogeneous :class:`ConfigArena`, and the
-    whole suite is checked in two vectorized passes.  Otherwise each
-    pair is walked vector by vector through the scalar oracles
+    On the NumPy backend all covers are packed into one
+    :class:`CoverArena` and all configurations into one heterogeneous
+    :class:`ConfigArena`, and the whole suite is checked in two
+    vectorized passes.  Under ``REPRO_KERNEL=python`` each pair is
+    walked vector by vector through the scalar oracles
     (``Cover.output_mask_for`` / ``evaluate_defective``) — the verdicts
     are bit-identical either way (the differential tests assert it).
     """
-    from repro import eval as batch_eval
+    from repro import kernels
     from repro.testgen.lfsr import GaloisLFSR
 
     if benchmarks is None:
@@ -193,7 +193,7 @@ def verify_suite(benchmarks: Optional[Sequence[BenchmarkStats]] = None,
     width = max([cover.n_inputs for cover in covers] + [2])
     minterms = GaloisLFSR(width, seed=stream_seed).states(n_words * 64)
 
-    if batch_eval.batch_enabled():
+    if kernels.enabled():
         from repro.kernels import batcharena, bitslice as bs
         cover_masks = batcharena.CoverArena.from_covers(covers) \
             .eval_minterms(minterms)

@@ -747,16 +747,12 @@ workloads:
         full datasheet of a workload cell (same sweep as --benchmark)
 
 performance:
-  REPRO_KERNEL=numpy|python|auto
-        backend for the bit-sliced evaluation kernels, the
-        cover-matrix cube algebra and the array-backed FPGA grid
-        engine — `repro table2` places and routes on the selected
-        backend (default: auto — NumPy when importable, scalar Python
-        otherwise; results are identical either way)
-  REPRO_EVAL_BATCH=off
-        disable the batched evaluation arena (repro.eval): the yield
-        engine and `suite --verify` then walk the per-cover kernel /
-        scalar paths instead (bit-identical results, just slower)
+  REPRO_KERNEL=numpy|python
+        backend for the bit-sliced evaluation kernels, the batched
+        evaluation arena, the cover-matrix cube algebra and the
+        array-backed FPGA grid engine — `repro table2` places and
+        routes on the selected backend (default: numpy; python runs
+        the scalar oracles; results are identical either way)
   --jobs N
         `suite`, `yield` and `table2` accept parallel worker processes
         (crash-isolated, retried, see repro.runner); results are

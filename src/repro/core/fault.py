@@ -14,19 +14,18 @@ column's required state is achievable there:
   fabric's built-in slack.
 
 Repair is then a bipartite matching from logical rows to physical rows
-(Hopcroft-Karp via :mod:`networkx`); the chip is repairable iff a
-perfect matching on the logical side exists.  Monte-Carlo sampling over
+(Kuhn's augmenting paths, :func:`_max_matching`); the chip is repairable
+iff a perfect matching on the logical side exists.  The device rule and
+the matcher defined here are the ones :mod:`repro.robustness.repair`
+builds its spare-aware repair flow on.  Monte-Carlo sampling over
 defect maps gives the yield-vs-redundancy curves of
 ``benchmarks/bench_ablation_yield.py``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.core.defects import DefectMap, DefectModel, DefectType
 from repro.core.gnor import InputConfig
@@ -66,22 +65,58 @@ def row_requirements(config: GNORPlaneConfig) -> List[List[InputConfig]]:
     return rows
 
 
+def _device_tolerates(needed: InputConfig,
+                      defect: Optional[DefectType]) -> bool:
+    """Whether a device with ``defect`` can serve requirement ``needed``."""
+    if defect is None:
+        return True
+    if defect is DefectType.STUCK_ON:
+        # unconditional conduction pins the dynamic row low: fatal in
+        # every position (an active device must switch with its input,
+        # a dropped device must stay off)
+        return False
+    # stuck off / PG leak: harmless exactly where nothing must conduct
+    return needed is InputConfig.DROP
+
+
 def row_compatible(requirements: Sequence[InputConfig],
                    defects: Dict[int, DefectType]) -> bool:
     """Whether a physical row with ``defects`` can host ``requirements``."""
-    for column, defect in defects.items():
-        if column >= len(requirements):
-            continue
-        needed = requirements[column]
-        if defect is DefectType.STUCK_ON:
-            # unconditional conduction pins the dynamic row low: fatal in
-            # every position (an active device must switch with its input,
-            # a dropped device must stay off)
-            return False
-        if needed is not InputConfig.DROP and \
-                defect in (DefectType.STUCK_OFF, DefectType.PG_LEAK):
-            return False
-    return True
+    return all(_device_tolerates(requirements[column], defect)
+               for column, defect in defects.items()
+               if column < len(requirements))
+
+
+def _max_matching(adjacency: List[List[int]]) -> Dict[int, int]:
+    """Kuhn's augmenting-path maximum bipartite matching.
+
+    ``adjacency[r]`` lists the physical rows logical row ``r`` may use;
+    the result maps logical -> physical row.  Logical rows and their
+    candidates are tried in ascending index order, so the result is
+    deterministic across processes (no hash-order dependence, which
+    matters because the degraded-mode placement — hence the reported
+    correct fraction — depends on which maximum matching gets picked).
+    Each new row claims the lowest candidate it can free and pushes the
+    earlier rows one step up, so a clean array comes out
+    *anti*-identity: ``[[0, 1, 2, 3]] * 3`` gives ``{2: 0, 1: 1, 0: 2}``.
+    """
+    n_physical = max((q for row in adjacency for q in row), default=-1) + 1
+    owner = [-1] * n_physical  # physical row -> logical row
+
+    def augment(r: int, visited: List[bool]) -> bool:
+        for q in adjacency[r]:
+            if not visited[q]:
+                visited[q] = True
+                holder = owner[q]
+                if holder < 0 or augment(holder, visited):
+                    owner[q] = r
+                    return True
+        return False
+
+    for r in range(len(adjacency)):
+        augment(r, [False] * n_physical)
+    return {r: q for q, r in sorted(
+        (q, r) for q, r in enumerate(owner) if r >= 0)}
 
 
 class FaultTolerantPLA:
@@ -111,19 +146,12 @@ class FaultTolerantPLA:
                 (self.n_physical_rows, self.n_columns):
             raise ValueError("defect map does not match the physical array")
 
-        graph = nx.Graph()
-        logical_nodes = [("l", r) for r in range(self.config.n_products)]
-        physical_nodes = [("p", q) for q in range(self.n_physical_rows)]
-        graph.add_nodes_from(logical_nodes, bipartite=0)
-        graph.add_nodes_from(physical_nodes, bipartite=1)
-        for r, requirements in enumerate(self._requirements):
-            for q in range(self.n_physical_rows):
-                if row_compatible(requirements, defect_map.row_defects(q)):
-                    graph.add_edge(("l", r), ("p", q))
-
-        matching = nx.bipartite.maximum_matching(graph, top_nodes=logical_nodes)
-        assignment = {r: q for (kind, r), (_pk, q) in matching.items()
-                      if kind == "l"}
+        row_defects = [defect_map.row_defects(q)
+                       for q in range(self.n_physical_rows)]
+        adjacency = [[q for q, defects in enumerate(row_defects)
+                      if row_compatible(requirements, defects)]
+                     for requirements in self._requirements]
+        assignment = _max_matching(adjacency)
         unassigned = [r for r in range(self.config.n_products)
                       if r not in assignment]
         spare_used = sum(1 for q in assignment.values()
@@ -205,8 +233,7 @@ def fatal_positions(config: GNORPlaneConfig,
     for row, column, defect in defect_map.iter_defects():
         if row >= config.n_products or column >= len(requirements[0]):
             continue
-        if not row_compatible([requirements[row][column]],
-                              {0: defect}):
+        if not _device_tolerates(requirements[row][column], defect):
             fatal.append((row, column))
     return fatal
 

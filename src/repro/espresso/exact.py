@@ -167,8 +167,7 @@ def _column_subset_matrix(columns: Dict[int, Set[int]],
     ``columns[order[j]] <= columns[order[i]]`` — or ``None`` when the
     scalar comparison loop should run instead."""
     from repro import kernels
-    if (not kernels.enabled() or kernels.cubematrix is None
-            or len(order) < _SUBSET_MATRIX_MIN_COLUMNS):
+    if not kernels.enabled() or len(order) < _SUBSET_MATRIX_MIN_COLUMNS:
         return None
     universe = sorted({m for col in columns.values() for m in col})
     return kernels.cubematrix.subset_matrix(

@@ -1,75 +1,31 @@
 """Batched evaluation facade.
 
-One entry point for "evaluate many covers on many vectors", hiding the
-three implementations behind a single switch:
+One entry point for "evaluate many covers on many vectors", with two
+implementations chosen by ``REPRO_KERNEL`` like everywhere else:
 
-* **batch** — the :mod:`repro.kernels.batcharena` arena path: all
-  covers packed once, every (cover, vector) pair evaluated in one
-  vectorized pass; optionally fanned across the resilient
-  :mod:`repro.runner` pool with the arena in shared memory (workers map
-  it zero-copy instead of unpickling covers per task);
-* **per-cover kernel** — ``bitslice.eval_minterms`` cover by cover
-  (the previous fast path, kept verbatim as the differential oracle);
-* **scalar** — ``Cover.output_mask_for`` loops (the original oracle).
+* **arena** (NumPy backend, the default) — the
+  :mod:`repro.kernels.batcharena` path: all covers packed once, every
+  (cover, vector) pair evaluated in one vectorized pass; optionally
+  fanned across the resilient :mod:`repro.runner` pool with the arena
+  in shared memory (workers map it zero-copy instead of unpickling
+  covers per task);
+* **scalar** (``REPRO_KERNEL=python``) — ``Cover.output_mask_for``
+  loops, the oracle.
 
-Selection: the batch path runs when the NumPy kernels are enabled
-(``REPRO_KERNEL``) *and* ``REPRO_EVAL_BATCH`` is not ``off``; forcing
-``REPRO_KERNEL=python`` gets the scalar loops as everywhere else.
-All three produce bit-identical masks — the differential tests assert
-it — so flipping the switch only changes speed.
+Both produce bit-identical masks — the differential tests assert it
+against the scalar loops and against ``bitslice.eval_minterms`` cover
+by cover — so the backend only changes speed.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import kernels
 from repro.testgen.lfsr import GaloisLFSR
 
-#: Environment variable disabling the batch-arena path ("off"/"0"/"no")
-#: while keeping the per-cover kernels.
-BATCH_ENV = "REPRO_EVAL_BATCH"
-
 #: Vectors handed to each worker task of a parallel batch evaluation.
 BLOCK_VECTORS = 4096
-
-_forced_batch: Optional[bool] = None
-
-
-def batch_enabled() -> bool:
-    """True when the arena path should run.
-
-    Requires the NumPy kernels (the arena *is* a kernel layout); on top
-    of that ``REPRO_EVAL_BATCH=off`` falls back to the per-cover kernel
-    path — the knob that isolates batching in differential tests and
-    benchmarks.
-    """
-    if not kernels.enabled():
-        return False
-    if _forced_batch is not None:
-        return _forced_batch
-    raw = os.environ.get(BATCH_ENV, "").strip().lower()
-    return raw not in ("off", "0", "no", "false", "disabled")
-
-
-def set_batch(flag: Optional[bool]) -> None:
-    """Force the batch path on/off; ``None`` re-enables env selection."""
-    global _forced_batch
-    _forced_batch = flag
-
-
-@contextmanager
-def forced_batch(flag: Optional[bool]) -> Iterator[None]:
-    """Temporarily force the batch switch (tests and benchmarks)."""
-    global _forced_batch
-    previous = _forced_batch
-    _forced_batch = flag
-    try:
-        yield
-    finally:
-        _forced_batch = previous
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +38,8 @@ def evaluate_covers(covers: Sequence, minterms: Sequence[int],
     Returns ``result[c][t]`` = ``covers[c].output_mask_for(minterms[t])``
     for every cover and vector, computed by whichever path is active.
     ``jobs > 1`` fans vector blocks across the resilient worker pool
-    with the arena shared zero-copy (batch path only; the serial paths
-    ignore it — their per-task state would dwarf the work).  ``pool``
+    with the arena shared zero-copy (arena path only; the scalar path
+    ignores it — its per-task state would dwarf the work).  ``pool``
     is an optional warm :class:`repro.runner.WarmPool`: callers that
     evaluate per request (the serve layer) reuse live workers instead
     of paying pool spin-up per call.
@@ -92,17 +48,13 @@ def evaluate_covers(covers: Sequence, minterms: Sequence[int],
     covers = list(covers)
     if not covers:
         return []
-    if batch_enabled():
+    if kernels.enabled():
         from repro.kernels import batcharena
         arena = batcharena.CoverArena.from_covers(covers)
         if (jobs > 1 or pool is not None) and len(minterms) > BLOCK_VECTORS:
             return _parallel_masks(arena, minterms, jobs, pool)
         masks = arena.eval_minterms(minterms)
         return [[int(m) for m in row] for row in masks]
-    if kernels.enabled():
-        from repro.kernels import bitslice
-        return [[int(m) for m in bitslice.eval_minterms(cover, minterms)]
-                for cover in covers]
     return [[cover.output_mask_for(m) for m in minterms]
             for cover in covers]
 
@@ -160,5 +112,4 @@ def _parallel_masks(arena, minterms: List[int],
     return result
 
 
-__all__ = ["BATCH_ENV", "BLOCK_VECTORS", "batch_enabled", "evaluate_covers",
-           "evaluate_stream", "forced_batch", "set_batch"]
+__all__ = ["BLOCK_VECTORS", "evaluate_covers", "evaluate_stream"]

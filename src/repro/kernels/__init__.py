@@ -3,26 +3,25 @@
 The library has two implementations of every truth-table-sized
 computation:
 
-* the original scalar Python loops (always available, and the oracle
-  in the differential tests), and
 * the NumPy kernels — :mod:`repro.kernels.bitslice` evaluates 64 input
-  vectors per machine word, and :mod:`repro.kernels.cubematrix` runs
-  the minimizer's cube algebra (distance, containment, cofactor, ...)
-  as whole-cover matrix operations.
+  vectors per machine word, :mod:`repro.kernels.cubematrix` runs the
+  minimizer's cube algebra (distance, containment, cofactor, ...) as
+  whole-cover matrix operations, and :mod:`repro.kernels.batcharena`
+  evaluates many covers or defect-patched configurations in one pass;
+* the original scalar Python loops, the oracle in the differential
+  tests.
 
-Which one runs is decided here.  The default is the NumPy backend when
-NumPy imports; setting the environment variable ``REPRO_KERNEL=python``
-forces the scalar fallback (``REPRO_KERNEL=numpy`` forces the kernels
-and raises at first use when NumPy is missing).  Tests and benchmarks
-can override programmatically::
+Which one runs is decided here.  The default is the NumPy backend
+(NumPy is a declared dependency); setting the environment variable
+``REPRO_KERNEL=python`` forces the scalar oracle.  Tests and
+benchmarks can override programmatically::
 
     from repro import kernels
     with kernels.forced_backend("python"):
         ...   # scalar oracle
 
 Call sites gate on :func:`enabled` and keep their scalar code as the
-fallback, so behaviour is identical either way — only the speed
-changes.
+oracle, so behaviour is identical either way — only the speed changes.
 """
 
 from __future__ import annotations
@@ -31,16 +30,9 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-try:
-    from repro.kernels import bitslice
-    from repro.kernels import cubematrix
-    from repro.kernels import batcharena
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    bitslice = None  # type: ignore[assignment]
-    cubematrix = None  # type: ignore[assignment]
-    batcharena = None  # type: ignore[assignment]
-    _HAVE_NUMPY = False
+from repro.kernels import bitslice
+from repro.kernels import cubematrix
+from repro.kernels import batcharena
 
 #: Environment variable selecting the backend ("numpy" or "python").
 BACKEND_ENV = "REPRO_KERNEL"
@@ -53,24 +45,20 @@ def backend() -> str:
 
     Resolution order: programmatic override (:func:`set_backend` /
     :func:`forced_backend`), then the ``REPRO_KERNEL`` environment
-    variable, then auto-detection (NumPy when importable).
+    variable (``python``/``scalar``/``off`` select the scalar oracle;
+    ``numpy``/``bitslice`` and anything else the kernels).
     """
     choice = _forced
     if choice is None:
-        choice = os.environ.get(BACKEND_ENV, "").strip().lower() or "auto"
+        choice = os.environ.get(BACKEND_ENV, "").strip().lower()
     if choice in ("python", "scalar", "off"):
         return "python"
-    if choice in ("numpy", "bitslice"):
-        if not _HAVE_NUMPY:
-            raise RuntimeError(
-                "REPRO_KERNEL=numpy requested but NumPy is not importable")
-        return "numpy"
-    return "numpy" if _HAVE_NUMPY else "python"
+    return "numpy"
 
 
 def set_backend(name: Optional[str]) -> None:
     """Force a backend (``"numpy"`` / ``"python"``); ``None`` re-enables
-    environment/auto selection."""
+    environment selection."""
     global _forced
     if name is not None and name not in ("numpy", "python"):
         raise ValueError(f"unknown kernel backend {name!r}")

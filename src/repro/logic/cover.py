@@ -237,7 +237,7 @@ class Cover:
         and for covers wider than one output word.
         """
         from repro import kernels
-        if not kernels.enabled() or kernels.cubematrix is None:
+        if not kernels.enabled():
             return None
         cm = kernels.cubematrix
         if self.n_outputs > cm.MAX_OUTPUTS or len(self.cubes) < cm.MIN_CUBES:

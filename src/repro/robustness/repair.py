@@ -21,6 +21,14 @@ full manufacturing story:
 Every verdict is *verified by evaluation* against the golden response
 (:class:`~repro.robustness.defective.GoldenRef`), never trusted from
 the matching alone.
+
+The device rule (:func:`~repro.core.fault._device_tolerates`) and the
+row matcher (:func:`~repro.core.fault._max_matching`) are the ones
+:class:`~repro.core.fault.FaultTolerantPLA` uses, imported by name.
+:func:`repair_config_batch` is the production path on the NumPy
+backend; :func:`repair_config` repairs one map with the scalar
+evaluators and is what the yield engine runs under
+``REPRO_KERNEL=python``.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.defects import DefectMap, DefectType
+from repro.core.fault import _device_tolerates, _max_matching
 from repro.core.gnor import InputConfig
 from repro.logic.function import BooleanFunction
 from repro.mapping.gnor_map import GNORPlaneConfig, map_cover_to_gnor
@@ -119,17 +128,6 @@ class RepairOutcome:
     n_defects: int
 
 
-def _device_tolerates(needed: InputConfig,
-                      defect: Optional[DefectType]) -> bool:
-    """Whether a device with ``defect`` can serve requirement ``needed``."""
-    if defect is None:
-        return True
-    if defect is DefectType.STUCK_ON:
-        return False  # unconditional pull: fatal in every position
-    # stuck off / PG leak: harmless exactly where nothing must conduct
-    return needed is InputConfig.DROP
-
-
 def _row_compatible(config: GNORPlaneConfig, r: int, q: int,
                     defect_map: DefectMap, col_assignment: Dict[int, int],
                     n_input_columns: int) -> bool:
@@ -143,34 +141,6 @@ def _row_compatible(config: GNORPlaneConfig, r: int, q: int,
         if not _device_tolerates(config.or_plane[k][r], defect):
             return False
     return True
-
-
-def _max_matching(adjacency: List[List[int]]) -> Dict[int, int]:
-    """Kuhn's augmenting-path maximum bipartite matching.
-
-    Iterates logical rows and their candidate physical rows in
-    ascending index order: the result is deterministic across processes
-    (no hash-order dependence, which matters because the degraded-mode
-    placement — hence the reported correct fraction — depends on which
-    maximum matching gets picked) and prefers the identity-like layout.
-    """
-    n_physical = max((q for row in adjacency for q in row), default=-1) + 1
-    owner = [-1] * n_physical  # physical row -> logical row
-
-    def augment(r: int, visited: List[bool]) -> bool:
-        for q in adjacency[r]:
-            if not visited[q]:
-                visited[q] = True
-                holder = owner[q]
-                if holder < 0 or augment(holder, visited):
-                    owner[q] = r
-                    return True
-        return False
-
-    for r in range(len(adjacency)):
-        augment(r, [False] * n_physical)
-    return {r: q for q, r in sorted(
-        (q, r) for q, r in enumerate(owner) if r >= 0)}
 
 
 def _match_rows(config: GNORPlaneConfig, fabric: SpareFabric,

@@ -205,19 +205,19 @@ def run_yield_chunk(payload: dict) -> List[dict]:
     ``count``.  Returns one JSON-shaped outcome record per sample.
     """
     settings = YieldSettings(**payload["settings"])
-    from repro import eval as batch_eval
+    from repro import kernels
     from repro import perf
     from repro import tech as tech_mod
     from repro.core.defects import DefectMap, DefectModel
     from repro.robustness.repair import repair_config, repair_config_batch
 
     with tech_mod.use(settings.tech):
-        return _run_chunk_under_tech(settings, payload, batch_eval, perf,
+        return _run_chunk_under_tech(settings, payload, kernels, perf,
                                      DefectMap, DefectModel, repair_config,
                                      repair_config_batch)
 
 
-def _run_chunk_under_tech(settings, payload, batch_eval, perf, DefectMap,
+def _run_chunk_under_tech(settings, payload, kernels, perf, DefectMap,
                           DefectModel, repair_config, repair_config_batch):
     function, config, fabric, golden = _prepared(settings)
     model = DefectModel(p_stuck_off=settings.p_stuck_off,
@@ -235,9 +235,9 @@ def _run_chunk_under_tech(settings, payload, batch_eval, perf, DefectMap,
             defect_maps.append(DefectMap.sample(
                 fabric.n_physical_rows, fabric.n_columns, model, map_seed))
 
-    if batch_eval.batch_enabled():
+    if kernels.enabled():
         # all trials of the chunk verified against one tiled arena;
-        # bit-identical outcomes to the per-trial loop below
+        # bit-identical outcomes to the scalar per-trial loop below
         perf.count("eval.batch.trials", len(indices))
         repaired = repair_config_batch(config, fabric, defect_maps, golden,
                                        function=function,

@@ -306,9 +306,11 @@ class SynthesisServer:
                 writer.close()
                 await writer.wait_closed()
             except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError, OSError):
+                    BrokenPipeError, OSError, NotImplementedError):
                 # cancellation re-delivers here when drain tears the
-                # connection down; the stream is closing either way
+                # connection down; the stream is closing either way.
+                # A stdio write pipe's protocol has no close waiter
+                # (NotImplementedError).
                 pass
 
     async def start_tcp(self) -> Tuple[str, int]:

@@ -2,7 +2,8 @@
 
 The arena (:mod:`repro.kernels.batcharena`) and its facade
 (:mod:`repro.eval`) are pure throughput plumbing: every result must be
-bit-identical to the per-cover kernel path and to the scalar oracles.
+bit-identical to the per-cover kernels (``bitslice.eval_minterms``,
+per-trial ``repair_config``) and to the scalar oracles.
 These tests pin that contract on hypothesis-made covers, exercise the
 shared-memory lifecycle across real worker processes, and verify the
 Galois-LFSR stream generator exhaustively at small widths.
@@ -93,10 +94,10 @@ class TestCoverArenaDifferential:
         width = max([c.n_inputs for c in batch] + [2])
         minterms = GaloisLFSR(width, seed=seed).states(96)
         with kernels.forced_backend("numpy"):
-            with batch_eval.forced_batch(True):
-                arena_masks = batch_eval.evaluate_covers(batch, minterms)
-            with batch_eval.forced_batch(False):
-                percov_masks = batch_eval.evaluate_covers(batch, minterms)
+            arena_masks = batch_eval.evaluate_covers(batch, minterms)
+            percov_masks = [[int(m) for m in bs.eval_minterms(cover,
+                                                               minterms)]
+                            for cover in batch]
         with kernels.forced_backend("python"):
             scalar_masks = batch_eval.evaluate_covers(batch, minterms)
         assert arena_masks == percov_masks == scalar_masks
@@ -121,7 +122,7 @@ class TestCoverArenaDifferential:
                  for name in ("syn_small", "syn_dec5")]
         width = max(c.n_inputs for c in batch)
         minterms = GaloisLFSR(width, seed=4).states(2 * 64)
-        with kernels.forced_backend("numpy"), batch_eval.forced_batch(True):
+        with kernels.forced_backend("numpy"):
             streamed = batch_eval.evaluate_stream(batch, 2, seed=4)
             explicit = batch_eval.evaluate_covers(batch, minterms)
         assert streamed == explicit
@@ -253,7 +254,7 @@ class TestSharedMemory:
         batch = self._batch()
         minterms = GaloisLFSR(13, seed=7).states(
             batch_eval.BLOCK_VECTORS + 512)
-        with kernels.forced_backend("numpy"), batch_eval.forced_batch(True):
+        with kernels.forced_backend("numpy"):
             serial = batch_eval.evaluate_covers(batch, minterms)
             fanned = batch_eval.evaluate_covers(batch, minterms, jobs=2)
         assert fanned == serial
@@ -281,20 +282,33 @@ class TestConsumers:
                 "start": start, "count": count}
 
     def test_yield_chunk_batched_equals_per_trial(self):
+        """arena chunk == per-trial repair on the kernels == scalar chunk."""
+        from repro.core.defects import DefectMap, DefectModel
         from repro.robustness import yield_engine
+        from repro.robustness.repair import repair_config
         payload = self._chunk()
+        settings = yield_engine.YieldSettings(**payload["settings"])
+        model = DefectModel(p_stuck_off=settings.p_stuck_off,
+                            p_stuck_on=settings.p_stuck_on)
         with kernels.forced_backend("numpy"):
             yield_engine._WORKER_CACHE.clear()
-            with batch_eval.forced_batch(True):
-                batched = yield_engine.run_yield_chunk(payload)
-            yield_engine._WORKER_CACHE.clear()
-            with batch_eval.forced_batch(False):
-                per_trial = yield_engine.run_yield_chunk(payload)
+            batched = yield_engine.run_yield_chunk(payload)
+            function, config, fabric, golden = \
+                yield_engine._prepared(settings)
+            per_trial = [repair_config(
+                config, fabric,
+                DefectMap.sample(fabric.n_physical_rows, fabric.n_columns,
+                                 model, settings.seed * 1_000_003 + j),
+                golden, function=function) for j in range(settings.samples)]
         yield_engine._WORKER_CACHE.clear()
         with kernels.forced_backend("python"):
             scalar = yield_engine.run_yield_chunk(payload)
         yield_engine._WORKER_CACHE.clear()
-        assert batched == per_trial == scalar
+        assert batched == scalar
+        assert [(r["defects"], r["status"], r["exact"], r["frac"], r["sr"],
+                 r["sc"]) for r in batched] == \
+            [(o.n_defects, o.status, o.exact, o.correct_fraction,
+              o.spare_rows_used, o.spare_cols_used) for o in per_trial]
 
     def test_suite_bist_verifies_on_every_path(self):
         from repro.bench.mcnc import get_benchmark
@@ -302,13 +316,10 @@ class TestConsumers:
         benchmarks = [get_benchmark(name)
                       for name in ("syn_small", "syn_dec5")]
         with kernels.forced_backend("numpy"):
-            with batch_eval.forced_batch(True):
-                arena_verdicts = verify_suite(benchmarks, n_words=2)
-            with batch_eval.forced_batch(False):
-                kernel_verdicts = verify_suite(benchmarks, n_words=2)
+            arena_verdicts = verify_suite(benchmarks, n_words=2)
         with kernels.forced_backend("python"):
             scalar_verdicts = verify_suite(benchmarks, n_words=2)
-        assert arena_verdicts == kernel_verdicts == scalar_verdicts
+        assert arena_verdicts == scalar_verdicts
         assert all(arena_verdicts.values())
 
 
@@ -331,8 +342,7 @@ class TestServiceFacade:
             cold = service.evaluate_batch(batch, stream=spec)
             warm = service.evaluate_batch(batch, stream=spec)
             assert cold == warm
-            with kernels.forced_backend("numpy"), \
-                    batch_eval.forced_batch(True):
+            with kernels.forced_backend("numpy"):
                 direct = batch_eval.evaluate_covers(
                     batch, stream_minterms(spec))
             assert cold == direct

@@ -1,14 +1,18 @@
 """Tests for the fault-tolerant PLA flow (Section 5, [6])."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.defects import DefectMap, DefectModel, DefectType
-from repro.core.fault import (FaultTolerantPLA, row_compatible,
-                              row_requirements)
+from repro.core.fault import (FaultTolerantPLA, _max_matching,
+                              row_compatible, row_requirements)
 from repro.core.gnor import InputConfig
 from repro.espresso import minimize
 from repro.logic.function import BooleanFunction
-from repro.mapping.gnor_map import map_cover_to_gnor
+from repro.mapping.gnor_map import GNORPlaneConfig, map_cover_to_gnor
 
 
 def make_config(seed=0, n=4, o=2, cubes=5):
@@ -115,6 +119,84 @@ class TestRepair:
     def test_negative_spares_rejected(self):
         with pytest.raises(ValueError):
             FaultTolerantPLA(make_config(), spare_rows=-1)
+
+
+@st.composite
+def adjacencies(draw, min_logical=0, max_logical=6, max_physical=8):
+    """``(adjacency, n_physical)``: candidate physical rows per logical row."""
+    n_logical = draw(st.integers(min_logical, max_logical))
+    n_physical = draw(st.integers(max(1, n_logical), max_physical))
+    rows = st.lists(st.integers(0, n_physical - 1), unique=True)
+    adjacency = [sorted(draw(rows)) for _ in range(n_logical)]
+    return adjacency, n_physical
+
+
+def brute_force_max_matching(adjacency):
+    """Size of a maximum matching by exhaustive search over assignments."""
+    @lru_cache(maxsize=None)
+    def best(r, used):
+        if r == len(adjacency):
+            return 0
+        size = best(r + 1, used)  # row r left unmatched
+        for q in adjacency[r]:
+            if not used >> q & 1:
+                size = max(size, 1 + best(r + 1, used | 1 << q))
+        return size
+
+    return best(0, 0)
+
+
+def plane_realizing(adjacency, n_physical):
+    """A config and defect map whose row compatibility is ``adjacency``.
+
+    Logical row ``r`` conducts only at input column ``r``, so a stuck-off
+    device at ``(q, r)`` bars row ``r`` from physical row ``q`` and
+    harms no other row.
+    """
+    n = len(adjacency)
+    config = GNORPlaneConfig(
+        n_inputs=n, n_outputs=1, n_products=n,
+        and_plane=[[InputConfig.PASS if i == r else InputConfig.DROP
+                    for i in range(n)] for r in range(n)],
+        or_plane=[[InputConfig.DROP] * n],
+        output_inverted=[True])
+    defects = {(q, r): DefectType.STUCK_OFF
+               for r, candidates in enumerate(adjacency)
+               for q in range(n_physical) if q not in candidates}
+    return config, DefectMap(n_physical, n + 1, defects)
+
+
+class TestMatcherOracle:
+    """The Kuhn matcher against exhaustive search."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(adjacencies())
+    def test_matching_is_maximum_and_valid(self, case):
+        adjacency, _n_physical = case
+        matching = _max_matching(adjacency)
+        assert len(matching) == brute_force_max_matching(adjacency)
+        assert len(set(matching.values())) == len(matching)
+        for r, q in matching.items():
+            assert q in adjacency[r]
+
+    @settings(max_examples=150, deadline=None)
+    @given(adjacencies(min_logical=1))
+    def test_repair_succeeds_iff_perfect_matching_exists(self, case):
+        adjacency, n_physical = case
+        config, defect_map = plane_realizing(adjacency, n_physical)
+        ft = FaultTolerantPLA(config,
+                              spare_rows=n_physical - len(adjacency))
+        result = ft.repair(defect_map)
+        best = brute_force_max_matching(adjacency)
+        assert result.success == (best == len(adjacency))
+        assert len(result.unassigned) == len(adjacency) - best
+        for r, q in result.assignment.items():
+            assert q in adjacency[r]
+
+    def test_clean_array_layout_is_anti_identity(self):
+        # ascending Kuhn: each new row claims physical row 0 and pushes
+        # the earlier rows one step up
+        assert _max_matching([[0, 1, 2, 3]] * 3) == {2: 0, 1: 1, 0: 2}
 
 
 class TestYield:

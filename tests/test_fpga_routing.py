@@ -28,18 +28,25 @@ class TestTrees:
             assert net.name in result.routed
 
     def test_tree_connects_all_terminals(self):
-        import networkx as nx
+        from collections import deque
+
         from repro.fpga.routing import _net_terminals
         netlist, fabric, placement, result = routed_setup((1, 2, 3))
         for routed in result.routed.values():
             terms = _net_terminals(routed.net, placement)
             if len(terms) < 2:
                 continue
-            graph = nx.Graph()
-            graph.add_nodes_from(terms)
+            neighbours = {}
             for a, b in routed.edges:
-                graph.add_edge(a, b)
-            component = nx.node_connected_component(graph, terms[0])
+                neighbours.setdefault(a, []).append(b)
+                neighbours.setdefault(b, []).append(a)
+            component = {terms[0]}
+            frontier = deque([terms[0]])
+            while frontier:
+                for nxt in neighbours.get(frontier.popleft(), []):
+                    if nxt not in component:
+                        component.add(nxt)
+                        frontier.append(nxt)
             for term in terms[1:]:
                 assert term in component
 

@@ -493,6 +493,29 @@ class TestTransport:
                 proc.wait()
             proc.stderr.close()
 
+    def test_cli_stdio_session_exits_cleanly(self):
+        """`repro serve --stdio` replies, then exits 0 at end of input."""
+        import json
+        import os
+        import subprocess
+        import sys as _sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [_sys.executable, "-m", "repro", "serve", "--stdio"],
+            input='{"id": 1, "op": "ping"}\n', env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0, done.stderr
+        replies = [json.loads(line) for line in done.stdout.splitlines()]
+        assert len(replies) == 1
+        assert replies[0]["id"] == 1
+        assert replies[0]["result"]["pong"] is True
+
     def test_per_endpoint_latency_reservoirs(self):
         perf.reset()
 
