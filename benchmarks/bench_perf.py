@@ -61,6 +61,7 @@ from repro.espresso.espresso import espresso
 from repro.logic.cover import Cover
 from repro.logic.verify import check_equivalence
 from repro.mapping.gnor_map import map_cover_to_gnor
+from repro.runner import run_tasks
 from repro.testgen.atpg import generate_tests
 
 #: Acceptance threshold for the exhaustive-equivalence headline number.
@@ -183,12 +184,8 @@ def bench_minimize(results: List[dict], seed: int, quick: bool,
     """
     names = [stats.name for stats in TABLE1_BENCHMARKS]
     tasks = [(name, seed, 2 if quick else 3) for name in names]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_bench_minimize_one, tasks))
-    else:
-        records = [_bench_minimize_one(task) for task in tasks]
+    records = run_tasks(_bench_minimize_one, list(enumerate(tasks)),
+                        jobs=jobs, retries=0).values()
     for record in records:
         _print_record(record)
         results.append(record)
@@ -332,12 +329,8 @@ def bench_fpga(results: List[dict], quick: bool, jobs: int) -> dict:
     """
     kernel_reps = 2 if quick else 3
     tasks = [("standard", kernel_reps), ("cnfet", kernel_reps)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, 2)) as pool:
-            outcomes = list(pool.map(_bench_fpga_one, tasks))
-    else:
-        outcomes = [_bench_fpga_one(task) for task in tasks]
+    outcomes = run_tasks(_bench_fpga_one, list(enumerate(tasks)),
+                         jobs=min(jobs, 2), retries=0).values()
 
     scalar_total = kernel_total = 0.0
     merged_perf: dict = {}

@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     os.environ["REPRO_CACHE_DIR"] = store_dir
 
     from repro import kernels, perf
-    from repro.runner import WarmPool
+    from repro.runner import WarmPool, run_tasks
 
     backend = kernels.backend()
     print(f"bench_serve (quick={args.quick}, clients={n_clients}, "
@@ -266,7 +266,8 @@ def main(argv=None) -> int:
     pool = WarmPool(jobs=args.jobs)
     try:
         # warm the workers once so neither scenario pays fork+import
-        pool.run(_noop_probe, None, timeout=120.0)
+        run_tasks(_noop_probe, [("probe", None)], pool=pool,
+                  timeout=120.0).raise_on_failure()
         perf.reset()
 
         workload = _evaluate_workload(args.seed, n_requests)

@@ -205,9 +205,9 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller cells and Monte Carlo budgets "
                              "(CI smoke)")
-    parser.add_argument("--arith", default=None,
-                        help="arith workload spec (default gt8; gt6 "
-                             "under --quick)")
+    parser.add_argument("--arith", default="gt8",
+                        help="arith workload spec (default gt8, the "
+                             "16-input stress cell, also under --quick)")
     parser.add_argument("--clf", default=None,
                         help="classifier workload spec (default "
                              "clf-blobs12-perceptron; clf-mux6-dlist "
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
                              "fail)")
     args = parser.parse_args(argv)
 
-    arith_spec = args.arith or ("gt6" if args.quick else "gt8")
+    arith_spec = args.arith
     clf_spec = args.clf or ("clf-mux6-dlist" if args.quick
                             else "clf-blobs12-perceptron")
     samples = args.samples or (60 if args.quick else 300)

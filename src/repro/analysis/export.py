@@ -119,6 +119,7 @@ def datasheet_json(data: Dict[str, Any]) -> str:
 def write_datasheet(path: Union[str, Path], data: Dict[str, Any]) -> Path:
     """Validate and write one datasheet; returns the path."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(datasheet_json(data), encoding="utf-8")
     return path
 

@@ -405,7 +405,7 @@ def _cmd_serve(args) -> int:
         overrides["queue_limit"] = args.queue
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
-    config = ServeConfig.from_env(**overrides)
+    config = ServeConfig(**overrides)
     server = SynthesisServer(config)
 
     if args.stdio:
@@ -792,24 +792,6 @@ serving:
         newline-delimited JSON endpoints (minimize, place_route,
         evaluate, evaluate_batch, yield_run, stats) over the caching
         synthesis service; SIGINT/SIGTERM drains gracefully
-  REPRO_SERVE_BATCH=N
-        evaluate micro-batch size (default 64): concurrent single-
-        cover requests aggregate into one batch-arena pass; 1
-        disables aggregation (per-request serving)
-  REPRO_SERVE_LINGER_US=N
-        max microseconds an evaluate request waits for batch-mates
-        (default 1000); under load batches fill before the timer
-  REPRO_SERVE_QUEUE=N
-        admission budget (default 256): requests beyond it are shed
-        immediately with an `overloaded` reply instead of queueing
-  REPRO_SERVE_JOBS=N
-        warm worker processes behind the server (default: cpu count);
-        workers stay alive across requests — no per-call pool spin-up
-  REPRO_MP_START=fork|forkserver|spawn
-        worker-pool start method (default fork: copy-on-write page
-        sharing with the parent is worth a lot of throughput on small
-        hosts); forkserver gives workers clean descriptor tables at
-        the cost of private pages
 
 fault injection (testing only):
   REPRO_FAULTS="site:kind@arm[,key=value][;...]"
@@ -970,17 +952,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve one session over stdin/stdout instead "
                         "of TCP")
     p.add_argument("--jobs", type=int, default=None,
-                   help="warm worker processes (default: "
-                        "REPRO_SERVE_JOBS or cpu count)")
+                   help="warm worker processes, kept alive across "
+                        "requests (default: cpu count)")
     p.add_argument("--batch", type=int, default=None,
-                   help="evaluate micro-batch size (default: "
-                        "REPRO_SERVE_BATCH or 64)")
+                   help="evaluate micro-batch size: concurrent requests "
+                        "share one arena pass; 1 serves each alone "
+                        "(default 64)")
     p.add_argument("--linger-us", type=int, default=None,
-                   help="micro-batch linger in microseconds (default: "
-                        "REPRO_SERVE_LINGER_US or 1000)")
+                   help="most microseconds an evaluate request waits "
+                        "for batch-mates (default 1000)")
     p.add_argument("--queue", type=int, default=None,
-                   help="admission budget before load-shedding "
-                        "(default: REPRO_SERVE_QUEUE or 256)")
+                   help="admission budget: requests beyond it are shed "
+                        "with an `overloaded` reply (default 256)")
     p.add_argument("--faults", default=None, metavar="SPEC",
                    help="arm deterministic failpoints for this server "
                         "(spec grammar: site:kind@arm[,k=v][;...], see "

@@ -20,7 +20,6 @@ from typing import List, Sequence
 from repro.core.classical_pla import ClassicalPLA
 from repro.core.pla import AmbipolarPLA
 from repro.core.timing import DEFAULT_TIMING, PLATimingModel, TimingParameters
-from repro.tech import TechDescriptor
 
 
 @dataclass
@@ -61,11 +60,6 @@ class PLAPowerModel:
 
     def __init__(self, timing: TimingParameters = DEFAULT_TIMING):
         self.timing = timing
-
-    @classmethod
-    def for_tech(cls, descriptor: TechDescriptor) -> "PLAPowerModel":
-        """A power model parameterized by a technology descriptor."""
-        return cls(TimingParameters.from_tech(descriptor))
 
     # ------------------------------------------------------------------
     def gnor_energy(self, pla: AmbipolarPLA,

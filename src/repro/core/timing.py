@@ -63,11 +63,6 @@ class TimingParameters:
 DEFAULT_TIMING = TimingParameters()
 
 
-def timing_for(descriptor: TechDescriptor) -> TimingParameters:
-    """Module-level alias of :meth:`TimingParameters.from_tech`."""
-    return TimingParameters.from_tech(descriptor)
-
-
 def as_timing(params) -> TimingParameters:
     """Accept :class:`TimingParameters` or a tech descriptor.
 

@@ -276,7 +276,7 @@ async def _soak_pass(settings: ChaosSettings, workload, pool,
 def run_serve_chaos(settings: ChaosSettings) -> Dict[str, Any]:
     """The serve segment: oracle pass, then the same load under faults."""
     from repro import faults, perf
-    from repro.runner import WarmPool
+    from repro.runner import WarmPool, run_tasks
 
     workload = _serve_workload(settings.seed, settings.requests)
 
@@ -293,7 +293,8 @@ def run_serve_chaos(settings: ChaosSettings) -> Dict[str, Any]:
             # latency quantiles pay worker spin-up (the faulted pass's
             # recycles still pay theirs — that IS the degradation
             # being measured)
-            pool.run(_noop_probe, None, timeout=120.0)
+            run_tasks(_noop_probe, [("probe", None)], pool=pool,
+                      timeout=120.0).raise_on_failure()
             return asyncio.run(_soak_pass(settings, workload, pool,
                                           faulted))
         finally:

@@ -80,12 +80,6 @@ class CLBSpec:
 PIN_SWITCH_AREA_L2 = 160.0
 
 
-def logic_array_area(spec_like_inputs: int, outputs: int, products: int,
-                     technology: Technology) -> float:
-    """Area of the CLB-internal PLA array alone."""
-    return pla_area(technology, spec_like_inputs, outputs, products)
-
-
 def first_principles_area(max_inputs: int, max_outputs: int,
                           max_products: int, technology: Technology,
                           dual_polarity: bool) -> float:

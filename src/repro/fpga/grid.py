@@ -236,10 +236,6 @@ class IncrementalHPWL:
         return float(sum(self._full_stats(i)[4] * self.weight[i]
                          for i in range(len(self.pts_x))))
 
-    def net_cost(self, index: int) -> int:
-        """Cached HPWL of one representative net (unweighted)."""
-        return self._stats[index][4]
-
     # -- the annealer protocol ------------------------------------------
     def move_delta(self, mover: str, new_site: Site,
                    swap_with: Optional[str], old_site: Site) -> int:

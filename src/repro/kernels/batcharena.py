@@ -1,4 +1,4 @@
-"""Batched zero-copy evaluation arenas.
+"""Batched evaluation arenas.
 
 :mod:`repro.kernels.bitslice` made *one* function fast; every hot
 caller still round-trips one Python ``Cover``/``PackedConfig`` object
@@ -38,18 +38,9 @@ tests assert it).  The OR plane of a ``ConfigArena`` is stored
 PASS device — one uint64 per product instead of an ``(O, P)`` matrix,
 which is what lets trial-specific defect patches touch single words.
 
-Shared-memory backing
----------------------
-:func:`share_arena` copies an arena's fields into one
-``multiprocessing.shared_memory`` block and returns a JSON-shaped
-handle; :func:`attach_arena` maps it back as zero-copy array views.
-Ownership rules (see DESIGN §9): the **sharing process owns the block**
-— it must keep the :class:`SharedArena` alive while workers run and
-call :meth:`SharedArena.dispose` (close + unlink) afterwards; workers
-attach per task, read, and :meth:`close` their view — they never
-unlink.  Attachment unregisters the segment from the interpreter's
-``resource_tracker`` so a worker exiting does not tear the block down
-under the other workers.
+Arenas live and are evaluated in the process that packed them; code
+that fans work out over processes ships whole tasks (a yield chunk, a
+suite row), never an arena.
 """
 
 from __future__ import annotations
@@ -131,7 +122,6 @@ class CoverArena:
         self.offsets = offsets
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self._shm = None
 
     @classmethod
     def from_covers(cls, covers) -> "CoverArena":
@@ -213,11 +203,6 @@ class CoverArena:
         x = bs.pack_minterms(minterms, self.max_inputs)
         return self.eval_slices(x, len(minterms))
 
-    # -- shared-memory plumbing ----------------------------------------
-    _FIELDS = ("block0", "block1", "outputs", "offsets",
-               "n_inputs", "n_outputs")
-    _KIND = "cover"
-
 
 # ----------------------------------------------------------------------
 # config arena
@@ -256,7 +241,6 @@ class ConfigArena:
                                 np.uint64((1 << self.n_outputs) - 1),
                                 dtype=np.uint64)
         self.out_valid = out_valid        # (n_configs,) valid-output mask
-        self._shm = None
 
     @staticmethod
     def _or_bits(pc: "bs.PackedConfig"):
@@ -452,130 +436,5 @@ class ConfigArena:
         perf.count("eval.batch.pairs", total * self.n_configs)
         return errors
 
-    # -- shared-memory plumbing ----------------------------------------
-    _FIELDS = ("and_pass", "and_invert", "or_pass_bits", "or_invert_bits",
-               "inverted", "offsets", "out_valid")
-    _KIND = "config"
 
-
-# ----------------------------------------------------------------------
-# shared-memory backing
-# ----------------------------------------------------------------------
-_ARENA_KINDS = {CoverArena._KIND: CoverArena, ConfigArena._KIND: ConfigArena}
-_ALIGN = 64
-
-
-class SharedArena:
-    """Owner-side handle of a shared-memory-backed arena.
-
-    The owner keeps this object alive while workers run and calls
-    :meth:`dispose` (or uses it as a context manager) when they are
-    done — disposal closes the mapping *and unlinks the segment*, so it
-    must happen exactly once, on the owning side only.
-    """
-
-    def __init__(self, shm, handle: dict):
-        self.shm = shm
-        self.handle = handle
-
-    def dispose(self) -> None:
-        """Close the owner's mapping and unlink the segment."""
-        try:
-            self.shm.close()
-        finally:
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double dispose
-                pass
-
-    def __enter__(self) -> "SharedArena":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.dispose()
-
-
-def share_arena(arena) -> SharedArena:
-    """Copy an arena into one shared-memory block.
-
-    Returns a :class:`SharedArena` whose JSON-shaped ``handle`` rides a
-    task payload to :func:`attach_arena` in the workers.
-    """
-    from multiprocessing import shared_memory
-
-    fields = []
-    offset = 0
-    for name in arena._FIELDS:
-        array = np.ascontiguousarray(getattr(arena, name))
-        offset = (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-        fields.append({"name": name, "dtype": str(array.dtype),
-                       "shape": list(array.shape), "offset": offset})
-        offset += array.nbytes
-    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    for spec in fields:
-        source = np.ascontiguousarray(getattr(arena, spec["name"]))
-        view = np.ndarray(spec["shape"], dtype=spec["dtype"],
-                          buffer=shm.buf, offset=spec["offset"])
-        view[...] = source
-    meta = {}
-    if arena._KIND == ConfigArena._KIND:
-        meta = {"n_inputs": arena.n_inputs, "n_outputs": arena.n_outputs}
-    handle = {"shm": shm.name, "arena": arena._KIND, "meta": meta,
-              "fields": fields}
-    perf.count("eval.batch.shm_shared")
-    return SharedArena(shm, handle)
-
-
-def attach_arena(handle: dict):
-    """Map a :func:`share_arena` handle back into arena array views.
-
-    The returned arena's fields alias the shared block — zero copies,
-    read-only by convention.  Call ``arena.close()`` when done with it
-    (closes the mapping; never unlinks).  The segment is unregistered
-    from this process's ``resource_tracker`` so worker exits do not
-    unlink a block the owner still serves.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=handle["shm"], create=False)
-    try:  # the tracker would unlink the owner's block at worker exit
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals moved
-        pass
-    arrays = {
-        spec["name"]: np.ndarray(spec["shape"], dtype=spec["dtype"],
-                                 buffer=shm.buf, offset=spec["offset"])
-        for spec in handle["fields"]}
-    cls = _ARENA_KINDS[handle["arena"]]
-    if cls is CoverArena:
-        arena = CoverArena(arrays["block0"], arrays["block1"],
-                           arrays["outputs"], arrays["offsets"],
-                           arrays["n_inputs"], arrays["n_outputs"])
-    else:
-        meta = handle["meta"]
-        arena = ConfigArena(arrays["and_pass"], arrays["and_invert"],
-                            arrays["or_pass_bits"], arrays["or_invert_bits"],
-                            arrays["inverted"], arrays["offsets"],
-                            meta["n_inputs"], meta["n_outputs"],
-                            arrays["out_valid"])
-    arena._shm = shm
-    perf.count("eval.batch.shm_attached")
-    return arena
-
-
-def close_arena(arena) -> None:
-    """Close an attached arena's shared-memory mapping (worker side)."""
-    shm = getattr(arena, "_shm", None)
-    if shm is not None:
-        arena._shm = None
-        shm.close()
-
-
-# both arena classes expose the worker-side close as a method
-CoverArena.close = close_arena
-ConfigArena.close = close_arena
-
-
-__all__ = ["CHUNK_ELEMENTS", "ConfigArena", "CoverArena", "SharedArena",
-           "attach_arena", "close_arena", "share_arena"]
+__all__ = ["CHUNK_ELEMENTS", "ConfigArena", "CoverArena"]

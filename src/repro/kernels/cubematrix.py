@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.logic.cube import BIT_DASH, BIT_ONE, BIT_ZERO
+from repro.logic.cube import BIT_ONE, BIT_ZERO
 
 #: Input variables per 64-bit word (two bits per variable).
 VARS_PER_WORD = 32
@@ -231,15 +231,6 @@ def distance_matrix(a: CubeMatrix, b: CubeMatrix) -> np.ndarray:
     return dist
 
 
-def distance_to_rows(m: CubeMatrix, inputs: int, outputs: int) -> np.ndarray:
-    """Distance of one cube (given as raw masks) to every row."""
-    w = np.array(split_mask(inputs, m.words.shape[1]), dtype=np.uint64)
-    anded = m.words & w[None, :]
-    dist = m.n_inputs - _nonempty_field_counts(anded)
-    dist += ((m.outputs & np.uint64(outputs)) == 0)
-    return dist
-
-
 def containment_matrix(m: CubeMatrix) -> np.ndarray:
     """Boolean ``(C, C)`` matrix: ``[i, j]`` iff row ``i`` contains row ``j``.
 
@@ -260,85 +251,9 @@ def cube_contains_rows(m: CubeMatrix, inputs: int, outputs: int) -> np.ndarray:
     return inp_ok & ((o | m.outputs) == o)
 
 
-def rows_contain_cube(m: CubeMatrix, inputs: int, outputs: int) -> np.ndarray:
-    """Boolean ``(C,)``: does each row contain the given cube?"""
-    w = np.array(split_mask(inputs, m.words.shape[1]), dtype=np.uint64)
-    o = np.uint64(outputs)
-    inp_ok = ((m.words | w[None, :]) == m.words).all(axis=1)
-    return inp_ok & ((m.outputs | o) == m.outputs)
-
-
 # ----------------------------------------------------------------------
-# consensus
+# cofactor
 # ----------------------------------------------------------------------
-def consensus_with_rows(m: CubeMatrix, inputs: int, outputs: int) \
-        -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Consensus of one cube against every row, scalar-semantics exact.
-
-    Returns ``(valid, words, outs)`` where ``valid[j]`` flags rows with
-    a consensus and ``words[j] / outs[j]`` hold it.  Matches
-    :meth:`repro.logic.cube.Cube.consensus` case for case: an
-    input-distance-1 pair with shared outputs merges with the conflict
-    variable raised to dash; an input-distance-0 pair with *disjoint*
-    outputs takes the shared input part and the output union (unless
-    that intersection is empty).
-    """
-    w = np.array(split_mask(inputs, m.words.shape[1]), dtype=np.uint64)
-    o = np.uint64(outputs)
-    anded = m.words & w[None, :]
-    present = (anded | (anded >> _ONE)) & _LOW_BITS
-    conflicts = m.n_inputs - popcount(present).sum(axis=1, dtype=np.int64)
-    shared_out = m.outputs & o
-
-    # distance-1 merge: the lone empty field becomes a dash
-    valid_masks = input_word_masks(m.n_inputs) & _LOW_BITS
-    empty_low = valid_masks[None, :] & ~present
-    dash_raise = empty_low | (empty_low << _ONE)
-    merged = anded | dash_raise
-
-    case1 = (conflicts == 1) & (shared_out != 0)
-    case2 = (conflicts == 0) & (shared_out == 0)
-    union_out = m.outputs | o
-    case2 &= union_out != 0
-
-    valid = case1 | case2
-    words = np.where(case1[:, None], merged, anded)
-    outs = np.where(case1, shared_out, union_out)
-    return valid, words, outs
-
-
-# ----------------------------------------------------------------------
-# sharp / cofactor
-# ----------------------------------------------------------------------
-def sharp_cube(n_inputs: int, inputs: int) -> np.ndarray:
-    """Disjoint-sharp complement of one cube's input part, as word rows.
-
-    Row ``k`` covers the minterms rejected by the cube's ``k``-th
-    literal (ascending variable order), with earlier literals already
-    satisfied — the same cubes, in the same order, as
-    :meth:`repro.logic.cube.Cube.complement_cubes`.
-    """
-    w = n_words(n_inputs)
-    fields = unpack_fields(
-        np.array(split_mask(inputs, w), dtype=np.uint64)[None, :],
-        n_inputs)[0]
-    literal = (fields == BIT_ZERO) | (fields == BIT_ONE)
-    pos = np.flatnonzero(literal)
-    if pos.size == 0:
-        return np.zeros((0, w), dtype=np.uint64)
-    flipped = np.where(fields == BIT_ZERO, BIT_ONE, BIT_ZERO).astype(np.uint8)
-    # the scalar prefix only accumulates literal fields: dash and empty
-    # (00) positions stay dash in every emitted row
-    prefix = np.where(literal, fields, BIT_DASH)
-    var_idx = np.arange(n_inputs)
-    lt = var_idx[None, :] < pos[:, None]
-    eq = var_idx[None, :] == pos[:, None]
-    out_fields = np.where(eq, flipped[None, :],
-                          np.where(lt, prefix[None, :], BIT_DASH)) \
-        .astype(np.uint8)
-    return pack_fields(out_fields)
-
-
 def cofactor_rows(m: CubeMatrix, inputs: int, outputs: int) \
         -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shannon cofactor of every row with respect to one cube.
@@ -456,12 +371,6 @@ def pack_masks(masks: Sequence[int], n_inputs: int) -> np.ndarray:
     for j, mask in enumerate(masks):
         words[j] = split_mask(mask, w)
     return words
-
-
-def mask_dash_counts(words: np.ndarray) -> np.ndarray:
-    """Per-row count of dash (``11``) fields of packed input masks."""
-    both = words & (words >> _ONE) & _LOW_BITS
-    return popcount(both).sum(axis=1, dtype=np.int64)
 
 
 def mask_containment_cleanup(ordered: Sequence[int],

@@ -172,13 +172,16 @@ def wilson_interval(successes: int, n: int,
 # worker side
 # ----------------------------------------------------------------------
 #: Per-process cache of (function, config, fabric, golden) so one worker
-#: synthesizes each benchmark once, not once per chunk.
+#: synthesizes each benchmark once, not once per chunk.  Keyed by the
+#: kernel backend too: a golden reference holds output words only when
+#: it was built on the kernel backend.
 _WORKER_CACHE: dict = {}
 
 
 def _prepared(settings: YieldSettings):
+    from repro import kernels
     key = (settings.benchmark, settings.spare_rows, settings.spare_cols,
-           settings.tech)
+           settings.tech, kernels.backend())
     entry = _WORKER_CACHE.get(key)
     if entry is None:
         from repro.bench.mcnc import benchmark_function, get_benchmark
@@ -312,12 +315,7 @@ def estimate_yield(settings: YieldSettings, jobs: int = 1,
 
 def _aggregate(settings: YieldSettings,
                outcomes: List[dict]) -> YieldReport:
-    from repro.bench.mcnc import benchmark_function, get_benchmark
-    from repro.mapping.gnor_map import map_cover_to_gnor
-
-    config = map_cover_to_gnor(
-        benchmark_function(get_benchmark(settings.benchmark), seed=0).on_set)
-
+    _function, config, _fabric, _golden = _prepared(settings)
     status_counts: Dict[str, int] = {}
     degraded = []
     raw = exact = 0

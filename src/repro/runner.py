@@ -28,6 +28,11 @@ hardening the ROADMAP's production north star asks for:
 Results are returned in *task order* regardless of completion order, so
 any driver that was bit-identical under ``pool.map`` stays bit-identical
 under the resilient runner.
+
+Every worker process of the package comes from a :class:`WarmPool`,
+which always forks: a parallel :func:`run_tasks` call runs on a
+private one, and serving keeps :func:`shared_pool` warm across
+requests.
 """
 
 from __future__ import annotations
@@ -38,9 +43,8 @@ import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 #: Environment variable giving the default per-task timeout in seconds
@@ -212,70 +216,24 @@ def _append_checkpoint(handle, key: Any, value: Any, elapsed: float) -> None:
 # ----------------------------------------------------------------------
 # worker process hygiene
 # ----------------------------------------------------------------------
-#: Start-method override for worker pools ("fork", "forkserver",
-#: "spawn").  The default is ``fork``.
-MP_START_ENV = "REPRO_MP_START"
-
-_mp_context_cache: Dict[str, Any] = {}
-_mp_context_lock = threading.Lock()
-
-
-def _mp_context():
-    """The start method for worker pools (``REPRO_MP_START`` overrides).
-
-    The default is plain ``fork``: workers share copy-on-write pages
-    with the submitting process, which on the single- and dual-core
-    hosts this project targets is worth a large fraction of batched
-    serve throughput (private pages mean the parent and worker evict
-    each other's cache lines on every context switch).
-
-    Fork children do duplicate every file descriptor the parent has
-    open at fork time — including live TCP connections of ``repro
-    serve``.  A connection close/abort that relied on descriptor
-    refcounts would therefore never reach the peer while a worker
-    holds the duplicate; the server instead calls ``socket.shutdown``
-    on the underlying socket wherever it tears a connection down
-    deliberately, which acts on the socket itself and signals the peer
-    no matter how many duplicates exist.
-
-    ``REPRO_MP_START=forkserver`` opts into a pre-warmed fork server
-    (fork+exec, clean descriptor tables, ``repro.serve.ops``
-    preloaded) when descriptor hygiene matters more than throughput.
-    """
-    method = os.environ.get(MP_START_ENV, "fork").strip().lower()
-    with _mp_context_lock:
-        context = _mp_context_cache.get(method)
-        if context is None:
-            try:
-                context = multiprocessing.get_context(method)
-                if method == "forkserver":
-                    context.set_forkserver_preload(["repro.serve.ops"])
-            except ValueError:  # pragma: no cover - platform fallback
-                context = multiprocessing.get_context()
-            _mp_context_cache[method] = context
-        return context
-
-
-def _repro_env() -> Dict[str, str]:
-    """The ``REPRO_*`` environment to mirror into worker processes."""
-    return {key: value for key, value in os.environ.items()
-            if key.startswith("REPRO_")}
-
-
-def _worker_init(env: Dict[str, str]) -> None:
-    """Executor initializer: sync ``REPRO_*`` env into a fresh worker.
-
-    Fork-server children inherit the environment the fork server was
-    *started* with, not the submitting process's environment at submit
-    time — fault schedules (``REPRO_FAULTS``) or backend switches
-    (``REPRO_KERNEL``) applied later would silently never reach the
-    workers.  Each executor snapshots the parent's ``REPRO_*`` keys at
-    construction and replays them here.
-    """
-    for key in [k for k in os.environ if k.startswith("REPRO_")]:
-        if key not in env:
-            del os.environ[key]
-    os.environ.update(env)
+#: Worker pools always fork.  Workers share copy-on-write pages with
+#: the submitting process, which on the single- and dual-core hosts
+#: this project targets is worth a large fraction of batched serve
+#: throughput (private pages mean the parent and worker evict each
+#: other's cache lines on every context switch).  A fork child also
+#: inherits the environment as it is at first submit, so ``REPRO_*``
+#: switches set before then (fault schedules, the kernel backend)
+#: reach the workers without any replay.
+#:
+#: Fork children do duplicate every file descriptor the parent has
+#: open at fork time — including live TCP connections of ``repro
+#: serve``.  A connection close/abort that relied on descriptor
+#: refcounts would therefore never reach the peer while a worker holds
+#: the duplicate; the server instead calls ``socket.shutdown`` on the
+#: underlying socket wherever it tears a connection down deliberately
+#: (``repro.serve.server._hard_reset``), which acts on the socket
+#: itself and signals the peer no matter how many duplicates exist.
+_FORK = multiprocessing.get_context("fork")
 
 
 # ----------------------------------------------------------------------
@@ -284,19 +242,18 @@ def _worker_init(env: Dict[str, str]) -> None:
 class WarmPool:
     """A reusable, lazily-started worker pool with crash recovery.
 
-    :func:`run_tasks` builds and tears down a ``ProcessPoolExecutor``
-    per call — right for the one-shot drivers, wrong for serving: a
-    request-rate workload would pay worker spin-up (interpreter fork +
-    import) on every call.  ``WarmPool`` keeps one pool alive across
-    calls:
+    The one place this package builds a ``ProcessPoolExecutor``.  A
+    parallel :func:`run_tasks` call runs on a private ``WarmPool`` it
+    shuts down afterwards; serving keeps one alive across requests, so
+    a request-rate workload does not pay worker spin-up (fork +
+    import) per call:
 
     * **lazy** — no processes exist until the first :meth:`submit`;
     * **recyclable** — :meth:`recycle` replaces a broken/wedged pool
       (``BrokenProcessPool``, timeouts) with a fresh one, counted in
       :attr:`n_recycles`;
     * **shared** — :func:`shared_pool` hands out one process-wide
-      instance, so the synthesis service's batch-eval miss paths and
-      the serve worker bridge amortize the same warm workers.
+      instance for the serve worker bridge.
 
     Thread-safe: submissions and recycles serialize on an internal
     lock (futures themselves are waited on outside it).
@@ -329,9 +286,8 @@ class WarmPool:
 
     def _ensure_locked(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=_mp_context(),
-                initializer=_worker_init, initargs=(_repro_env(),))
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs,
+                                                 mp_context=_FORK)
         return self._executor
 
     def submit(self, fn: Callable[..., Any], *args: Any):
@@ -357,9 +313,7 @@ class WarmPool:
     def _recycle_locked(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=_mp_context(),
-            initializer=_worker_init, initargs=(_repro_env(),))
+            self._executor = None  # the next submit starts a fresh one
         self.n_recycles += 1
         self._generation += 1
 
@@ -383,36 +337,6 @@ class WarmPool:
             if self._executor is not None:
                 self._executor.shutdown(wait=wait, cancel_futures=True)
                 self._executor = None
-
-    def run(self, fn: Callable[..., Any], payload: Any, *,
-            timeout: Optional[float] = None, retries: int = 2,
-            backoff: float = 0.1) -> Any:
-        """Synchronous ``fn(payload)`` with timeout/retry/crash recovery.
-
-        The warm-pool analogue of a one-task :func:`run_tasks`: a
-        ``BrokenProcessPool`` or an expired ``timeout`` recycles the
-        pool and retries (``retries`` extra attempts, exponential
-        ``backoff``); the final failure re-raises.
-        """
-        if timeout is None:
-            timeout = default_timeout()
-        attempt = 0
-        while True:
-            attempt += 1
-            generation = self.generation
-            future = self.submit(fn, payload)
-            try:
-                return future.result(timeout=timeout)
-            except (BrokenProcessPool, FutureTimeout) as exc:
-                self.recycle(seen=generation)
-                if attempt > retries:
-                    if isinstance(exc, FutureTimeout):
-                        raise TimeoutError(
-                            f"task timed out after {timeout:.1f}s "
-                            f"({attempt} attempt(s))") from exc
-                    raise
-                if backoff:
-                    time.sleep(backoff * (2 ** (attempt - 1)))
 
 
 def _faulted_task(fn: Callable[..., Any], *args: Any) -> Any:
@@ -489,7 +413,9 @@ def run_tasks(fn: Callable[[Any], Any], tasks: Sequence[Tuple[Any, Any]],
         JSON-serializable (they index the checkpoint file).
     jobs:
         Worker processes.  ``jobs <= 1`` runs inline (no pool, no
-        timeout enforcement) — checkpoints and retries still apply.
+        timeout enforcement) — checkpoints and retries still apply;
+        ``jobs > 1`` runs on a private :class:`WarmPool` shut down
+        before returning.
     timeout:
         Per-task wall-second budget; defaults to ``REPRO_TASK_TIMEOUT``.
         On expiry the task is retried (fresh pool) until its retry
@@ -507,10 +433,10 @@ def run_tasks(fn: Callable[[Any], Any], tasks: Sequence[Tuple[Any, Any]],
         Restore previously checkpointed tasks (through ``decode``)
         instead of recomputing them.
     pool:
-        A :class:`WarmPool` to execute on instead of a one-shot
-        ``ProcessPoolExecutor``.  The pool stays warm afterwards (the
-        caller owns its lifetime); crash/timeout recovery recycles it
-        in place.  Implies pooled execution regardless of ``jobs``.
+        A :class:`WarmPool` to execute on instead of a private one.
+        The pool stays warm afterwards (the caller owns its lifetime);
+        crash/timeout recovery recycles it in place.  Implies pooled
+        execution regardless of ``jobs``.
     """
     if timeout is None:
         timeout = default_timeout()
@@ -547,14 +473,19 @@ def run_tasks(fn: Callable[[Any], Any], tasks: Sequence[Tuple[Any, Any]],
                     exist_ok=True)
         ckpt_handle = open(checkpoint, mode)
 
+    owned = pool is None and jobs > 1
+    if owned:
+        pool = WarmPool(jobs)
     try:
-        if pool is None and jobs <= 1:
+        if pool is None:
             _run_inline(fn, pending, results, report, retries, backoff,
                         ckpt_handle, encode)
         else:
-            _run_pooled(fn, pending, results, report, jobs, timeout,
-                        retries, backoff, ckpt_handle, encode, pool)
+            _run_pooled(fn, pending, results, report, pool, timeout,
+                        retries, backoff, ckpt_handle, encode)
     finally:
+        if owned:
+            pool.shutdown()
         if ckpt_handle is not None:
             ckpt_handle.close()
 
@@ -612,124 +543,108 @@ def _run_inline(fn, pending, results, report, retries, backoff,
                 ckpt_handle, encode)
 
 
-def _run_pooled(fn, pending, results, report, jobs, timeout, retries,
-                backoff, ckpt_handle, encode,
-                warm: Optional[WarmPool] = None) -> None:
+def _run_pooled(fn, pending, results, report, pool: WarmPool, timeout,
+                retries, backoff, ckpt_handle, encode) -> None:
     """Pool execution with crash isolation and timeout enforcement."""
     queue: List[_Pending] = list(pending)
     in_flight: Dict[Any, _Pending] = {}
-    if warm is not None:
-        jobs = warm.jobs
-        submit = warm.submit
-    else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        submit = lambda f, payload: pool.submit(f, payload)  # noqa: E731
     poll = 0.05 if timeout else 0.5
 
     def recycle_pool() -> None:
-        if warm is not None:
-            warm.recycle()
-        else:
-            nonlocal pool
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = ProcessPoolExecutor(max_workers=jobs)
+        pool.recycle()
         report.n_pool_restarts += 1
 
-    try:
-        while queue or in_flight:
-            # fill the pool up to `jobs` eligible tasks
-            now = time.monotonic()
-            submitted_any = False
-            for item in list(queue):
-                if len(in_flight) >= jobs:
-                    break
-                if item.next_eligible > now:
-                    continue
-                queue.remove(item)
-                item.attempts += 1
-                item.started = time.monotonic()
-                try:
-                    item.future = submit(fn, item.payload)
-                except BrokenProcessPool:
-                    recycle_pool()
-                    item.attempts -= 1
-                    queue.insert(0, item)
-                    continue
-                in_flight[item.future] = item
-                submitted_any = True
-
-            if not in_flight:
-                if queue and not submitted_any:
-                    # everything is backing off; sleep to the next slot
-                    wake = min(i.next_eligible for i in queue)
-                    time.sleep(max(0.0, wake - time.monotonic()) or 0.01)
+    while queue or in_flight:
+        # fill the pool up to `pool.jobs` eligible tasks
+        now = time.monotonic()
+        submitted_any = False
+        for item in list(queue):
+            if len(in_flight) >= pool.jobs:
+                break
+            if item.next_eligible > now:
                 continue
-
+            queue.remove(item)
+            item.attempts += 1
+            item.started = time.monotonic()
             try:
-                done, _ = wait(list(in_flight), timeout=poll,
-                               return_when=FIRST_COMPLETED)
-            except BrokenProcessPool:  # pragma: no cover - defensive
-                done = set()
+                item.future = pool.submit(fn, item.payload)
+            except BrokenProcessPool:
+                recycle_pool()
+                item.attempts -= 1
+                queue.insert(0, item)
+                continue
+            in_flight[item.future] = item
+            submitted_any = True
 
-            for future in done:
-                item = in_flight.pop(future)
-                try:
-                    value = future.result()
-                except BrokenProcessPool:
-                    # the worker died (kill -9, segfault): everything
-                    # in flight is suspect — requeue it all on a new pool
-                    _retry_or_fail(item, retries, backoff, STATUS_FAILED,
-                                   "worker process died (BrokenProcessPool)",
-                                   queue, results, report, ckpt_handle,
-                                   encode)
-                    for other_future, other in list(in_flight.items()):
-                        in_flight.pop(other_future)
-                        other.attempts -= 1  # not the other tasks' fault
-                        _retry_or_fail(other, retries, backoff,
-                                       STATUS_FAILED,
-                                       "worker pool broke mid-task",
+        if not in_flight:
+            if queue and not submitted_any:
+                # everything is backing off; sleep to the next slot
+                wake = min(i.next_eligible for i in queue)
+                time.sleep(max(0.0, wake - time.monotonic()) or 0.01)
+            continue
+
+        try:
+            done, _ = wait(list(in_flight), timeout=poll,
+                           return_when=FIRST_COMPLETED)
+        except BrokenProcessPool:  # pragma: no cover - defensive
+            done = set()
+
+        for future in done:
+            item = in_flight.pop(future)
+            try:
+                value = future.result()
+            except BrokenProcessPool:
+                # the worker died (kill -9, segfault): everything
+                # in flight is suspect — requeue it all on a new pool
+                _retry_or_fail(item, retries, backoff, STATUS_FAILED,
+                               "worker process died (BrokenProcessPool)",
+                               queue, results, report, ckpt_handle,
+                               encode)
+                for other_future, other in list(in_flight.items()):
+                    in_flight.pop(other_future)
+                    other.attempts -= 1  # not the other tasks' fault
+                    _retry_or_fail(other, retries, backoff,
+                                   STATUS_FAILED,
+                                   "worker pool broke mid-task",
+                                   queue, results, report,
+                                   ckpt_handle, encode)
+                recycle_pool()
+                break
+            except Exception as exc:  # noqa: BLE001
+                _retry_or_fail(item, retries, backoff, STATUS_FAILED,
+                               repr(exc), queue, results, report,
+                               ckpt_handle, encode)
+            else:
+                _record(results, report, item,
+                        TaskResult(key=item.key, status=STATUS_OK,
+                                   value=value, attempts=item.attempts,
+                                   elapsed=time.monotonic() - item.started),
+                        ckpt_handle, encode)
+
+        # enforce per-task timeouts on whatever is still running
+        if timeout:
+            now = time.monotonic()
+            expired = [item for item in in_flight.values()
+                       if now - item.started > timeout]
+            if expired:
+                # a stuck worker cannot be interrupted politely:
+                # recycle the whole pool and retry the survivors
+                for future, item in list(in_flight.items()):
+                    in_flight.pop(future)
+                    if item in expired:
+                        _retry_or_fail(item, retries, backoff,
+                                       STATUS_TIMEOUT,
+                                       f"timed out after {timeout:.1f}s",
                                        queue, results, report,
                                        ckpt_handle, encode)
-                    recycle_pool()
-                    break
-                except Exception as exc:  # noqa: BLE001
-                    _retry_or_fail(item, retries, backoff, STATUS_FAILED,
-                                   repr(exc), queue, results, report,
-                                   ckpt_handle, encode)
-                else:
-                    _record(results, report, item,
-                            TaskResult(key=item.key, status=STATUS_OK,
-                                       value=value, attempts=item.attempts,
-                                       elapsed=time.monotonic() - item.started),
-                            ckpt_handle, encode)
-
-            # enforce per-task timeouts on whatever is still running
-            if timeout:
-                now = time.monotonic()
-                expired = [item for item in in_flight.values()
-                           if now - item.started > timeout]
-                if expired:
-                    # a stuck worker cannot be interrupted politely:
-                    # recycle the whole pool and retry the survivors
-                    for future, item in list(in_flight.items()):
-                        in_flight.pop(future)
-                        if item in expired:
-                            _retry_or_fail(item, retries, backoff,
-                                           STATUS_TIMEOUT,
-                                           f"timed out after {timeout:.1f}s",
-                                           queue, results, report,
-                                           ckpt_handle, encode)
-                        else:
-                            item.attempts -= 1  # collateral, free retry
-                            _retry_or_fail(item, retries, backoff,
-                                           STATUS_FAILED,
-                                           "pool recycled on a sibling "
-                                           "timeout", queue, results,
-                                           report, ckpt_handle, encode)
-                    recycle_pool()
-    finally:
-        if warm is None:
-            pool.shutdown(wait=False, cancel_futures=True)
+                    else:
+                        item.attempts -= 1  # collateral, free retry
+                        _retry_or_fail(item, retries, backoff,
+                                       STATUS_FAILED,
+                                       "pool recycled on a sibling "
+                                       "timeout", queue, results,
+                                       report, ckpt_handle, encode)
+                recycle_pool()
 
 
 __all__ = ["RunReport", "TaskFailure", "TaskResult", "TASK_TIMEOUT_ENV",

@@ -20,7 +20,7 @@ Entry point: ``repro serve`` (see the CLI), or programmatically::
 
     from repro.serve import ServeConfig, SynthesisServer
 
-    server = SynthesisServer(ServeConfig.from_env(port=7929))
+    server = SynthesisServer(ServeConfig(port=7929))
     asyncio.run(server.run_tcp())
 """
 

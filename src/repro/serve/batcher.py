@@ -24,11 +24,10 @@ So N concurrent single-vector requests cost one vectorized kernel pass
 and one worker round trip, not N.  Members of a failed flush all see
 the exception; members never block each other beyond the shared pass.
 
-Tuning: ``REPRO_SERVE_BATCH`` (max members) and
-``REPRO_SERVE_LINGER_US`` (linger budget) — see
-:meth:`repro.serve.server.ServeConfig.from_env`.  ``max_batch=1``
-degenerates to the unbatched per-request path the load benchmark
-compares against.
+Tuning: ``max_batch`` and ``linger_us`` (``repro serve --batch`` and
+``--linger-us``, carried by :class:`repro.serve.server.ServeConfig`).
+``max_batch=1`` degenerates to the unbatched per-request path the load
+benchmark compares against.
 """
 
 from __future__ import annotations

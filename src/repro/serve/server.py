@@ -37,7 +37,8 @@ import os
 import signal
 import socket
 import sys
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro import faults, perf
@@ -47,12 +48,6 @@ from repro.serve.batcher import (BatchCollector, DEFAULT_LINGER_US,
 from repro.serve.ops import OPS, RequestError
 from repro.serve.protocol import ProtocolError
 from repro.serve.workers import DegradedError, WorkerBridge
-
-#: Environment knobs (documented in the CLI epilog and README).
-BATCH_ENV = "REPRO_SERVE_BATCH"
-LINGER_ENV = "REPRO_SERVE_LINGER_US"
-QUEUE_ENV = "REPRO_SERVE_QUEUE"
-JOBS_ENV = "REPRO_SERVE_JOBS"
 
 #: Default admission budget: requests admitted concurrently before
 #: load-shedding begins.
@@ -82,38 +77,69 @@ def _hard_reset(writer: asyncio.StreamWriter) -> None:
     transport.abort()
 
 
-def _env_int(name: str, default: int, floor: int = 1) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
+class _StdoutWriter:
+    """The reply side of ``repro serve --stdio``: blocking stdout writes.
+
+    asyncio's write-pipe transport rejects regular files, so each reply
+    is written and flushed whole instead, which works on a pipe, a
+    terminal or a file alike.  Provides the part of the
+    ``StreamWriter`` interface :meth:`SynthesisServer.serve_connection`
+    uses.
+    """
+
+    transport = None  # nothing to hard-reset or to measure
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+
+    def write(self, data: bytes) -> None:
+        try:
+            self._stream.write(data)
+            self._stream.flush()
+        except BrokenPipeError:  # the reader went away; nobody to tell
+            pass
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def _feed_stdin(loop: asyncio.AbstractEventLoop,
+                reader: asyncio.StreamReader) -> None:
+    """Thread body: copy this process's stdin into ``reader`` until EOF.
+
+    Blocking reads work on a pipe, a terminal or a regular file, where
+    asyncio's read-pipe transport rejects files.  ``os.read`` on the
+    descriptor, not ``sys.stdin.buffer``: a daemon thread still blocked
+    inside the buffered reader would hold its lock at interpreter exit.
+    """
+    fd = sys.stdin.fileno()
     try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not an integer")
-    return max(floor, value)
+        while True:
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                break
+            loop.call_soon_threadsafe(reader.feed_data, chunk)
+        loop.call_soon_threadsafe(reader.feed_eof)
+    except RuntimeError:  # the session ended first; its loop is closed
+        pass
 
 
 @dataclass
 class ServeConfig:
-    """Tunables of one server instance."""
+    """Tunables of one server instance (``repro serve`` flags)."""
 
     host: str = "127.0.0.1"
     port: int = 0
     max_batch: int = DEFAULT_MAX_BATCH
     linger_us: int = DEFAULT_LINGER_US
     queue_limit: int = DEFAULT_QUEUE_LIMIT
-    jobs: Optional[int] = None
-
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "ServeConfig":
-        """Defaults from ``REPRO_SERVE_*`` with keyword overrides."""
-        config = cls(
-            max_batch=_env_int(BATCH_ENV, DEFAULT_MAX_BATCH),
-            linger_us=_env_int(LINGER_ENV, DEFAULT_LINGER_US, floor=0),
-            queue_limit=_env_int(QUEUE_ENV, DEFAULT_QUEUE_LIMIT),
-            jobs=_env_int(JOBS_ENV, 0, floor=0) or None,
-        )
-        return replace(config, **overrides)
+    jobs: Optional[int] = None  # None = cpu count
 
 
 class SynthesisServer:
@@ -121,7 +147,7 @@ class SynthesisServer:
 
     def __init__(self, config: Optional[ServeConfig] = None,
                  executor: Optional[Any] = None) -> None:
-        self.config = config or ServeConfig.from_env()
+        self.config = config or ServeConfig()
         self.executor = executor if executor is not None else \
             WorkerBridge(jobs=self.config.jobs)
         self.batcher = BatchCollector(
@@ -247,7 +273,7 @@ class SynthesisServer:
     # ------------------------------------------------------------------
     async def serve_connection(self, reader: asyncio.StreamReader,
                                writer: asyncio.StreamWriter) -> None:
-        """Drive one duplex stream (TCP peer, socketpair, or pipes).
+        """Drive one duplex stream (TCP peer, socketpair, or stdio).
 
         Requests are dispatched as they arrive (pipelining); a per-
         connection lock serializes response writes.
@@ -271,7 +297,9 @@ class SynthesisServer:
             # (responses never interleave); drain — two event-loop hops
             # — only once the peer stops keeping up
             writer.write(response)
-            if writer.transport.get_write_buffer_size() > 65536:
+            transport = writer.transport
+            if transport is not None and \
+                    transport.get_write_buffer_size() > 65536:
                 async with write_lock:
                     await writer.drain()
 
@@ -306,11 +334,9 @@ class SynthesisServer:
                 writer.close()
                 await writer.wait_closed()
             except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError, OSError, NotImplementedError):
+                    BrokenPipeError, OSError):
                 # cancellation re-delivers here when drain tears the
                 # connection down; the stream is closing either way.
-                # A stdio write pipe's protocol has no close waiter
-                # (NotImplementedError).
                 pass
 
     async def start_tcp(self) -> Tuple[str, int]:
@@ -331,15 +357,17 @@ class SynthesisServer:
         return sockname[0], sockname[1]
 
     async def serve_stdio(self) -> None:
-        """Same protocol over this process's stdin/stdout (pipe mode)."""
-        loop = asyncio.get_running_loop()
+        """Same protocol over this process's stdin/stdout.
+
+        Either stream may be a pipe, a terminal or a regular file: a
+        daemon thread feeds stdin into the session's reader, and each
+        reply is one blocking write + flush on stdout.
+        """
         reader = asyncio.StreamReader(limit=protocol.MAX_LINE_BYTES)
-        await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader), sys.stdin.buffer)
-        transport, proto = await loop.connect_write_pipe(
-            asyncio.streams.FlowControlMixin, sys.stdout.buffer)
-        writer = asyncio.StreamWriter(transport, proto, reader, loop)
-        await self.serve_connection(reader, writer)
+        threading.Thread(target=_feed_stdin,
+                         args=(asyncio.get_running_loop(), reader),
+                         name="repro-serve-stdin", daemon=True).start()
+        await self.serve_connection(reader, _StdoutWriter(sys.stdout.buffer))
         await self.drain()
 
     # ------------------------------------------------------------------
@@ -412,5 +440,4 @@ class SynthesisServer:
             await self.drain()
 
 
-__all__ = ["BATCH_ENV", "DEFAULT_QUEUE_LIMIT", "JOBS_ENV", "LINGER_ENV",
-           "QUEUE_ENV", "ServeConfig", "SynthesisServer"]
+__all__ = ["DEFAULT_QUEUE_LIMIT", "ServeConfig", "SynthesisServer"]

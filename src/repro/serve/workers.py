@@ -15,13 +15,13 @@ awaitable, keeping the resilient runner's semantics:
 * **timeouts** — a request over its wall budget (``REPRO_TASK_TIMEOUT``
   by default) recycles the pool (a wedged worker cannot be interrupted
   politely) and is retried, then reported as ``internal``;
-* **circuit breaker** — ``REPRO_SERVE_BREAKER`` consecutive pool
-  recycles trip the breaker: requests fail fast with
+* **circuit breaker** — ``threshold`` consecutive pool recycles (5 by
+  default) trip the breaker: requests fail fast with
   :class:`DegradedError` (protocol code ``degraded``) instead of
-  burning a worker spin-up per doomed attempt.  After
-  ``REPRO_SERVE_BREAKER_COOLDOWN`` seconds the breaker half-opens and
-  lets one probe request through; its success closes the breaker, its
-  failure re-opens it;
+  burning a worker spin-up per doomed attempt.  After ``cooldown``
+  seconds (2 by default) the breaker half-opens and lets one probe
+  request through; its success closes the breaker, its failure
+  re-opens it;
 * **result integrity** — when :mod:`repro.faults` is armed (or
   ``REPRO_SERVE_VERIFY=1``), work runs through
   :func:`repro.serve.ops.dispatch_checked` and the reply's digest is
@@ -46,39 +46,17 @@ from typing import Any, Dict, Optional
 from repro import perf, runner
 from repro.serve.ops import RequestError, dispatch, dispatch_checked
 
-#: Consecutive pool recycles before the breaker trips (0 disables).
-BREAKER_ENV = "REPRO_SERVE_BREAKER"
-#: Seconds an open breaker waits before letting a probe through.
-BREAKER_COOLDOWN_ENV = "REPRO_SERVE_BREAKER_COOLDOWN"
 #: Force the result-integrity envelope even with no faults armed.
 VERIFY_ENV = "REPRO_SERVE_VERIFY"
 
+#: Consecutive pool recycles before the breaker trips (0 disables).
 DEFAULT_BREAKER_THRESHOLD = 5
+#: Seconds an open breaker waits before letting a probe through.
 DEFAULT_BREAKER_COOLDOWN = 2.0
 
 
 class DegradedError(RuntimeError):
     """Fail-fast reply while the worker pool is known-unhealthy."""
-
-
-def default_breaker_threshold() -> int:
-    raw = os.environ.get(BREAKER_ENV, "").strip()
-    if not raw:
-        return DEFAULT_BREAKER_THRESHOLD
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise ValueError(f"{BREAKER_ENV}={raw!r} is not an integer")
-
-
-def default_breaker_cooldown() -> float:
-    raw = os.environ.get(BREAKER_COOLDOWN_ENV, "").strip()
-    if not raw:
-        return DEFAULT_BREAKER_COOLDOWN
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        raise ValueError(f"{BREAKER_COOLDOWN_ENV}={raw!r} is not a number")
 
 
 def _verify_enabled() -> bool:
@@ -108,13 +86,11 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, threshold: Optional[int] = None,
-                 cooldown: Optional[float] = None,
+    def __init__(self, threshold: int = DEFAULT_BREAKER_THRESHOLD,
+                 cooldown: float = DEFAULT_BREAKER_COOLDOWN,
                  clock=time.monotonic) -> None:
-        self.threshold = threshold if threshold is not None \
-            else default_breaker_threshold()
-        self.cooldown = cooldown if cooldown is not None \
-            else default_breaker_cooldown()
+        self.threshold = threshold
+        self.cooldown = cooldown
         self.state = self.CLOSED
         self.failures = 0
         self._opened_at = 0.0
@@ -266,7 +242,6 @@ class InlineBridge:
         pass
 
 
-__all__ = ["BREAKER_COOLDOWN_ENV", "BREAKER_ENV", "CircuitBreaker",
-           "DEFAULT_BREAKER_COOLDOWN", "DEFAULT_BREAKER_THRESHOLD",
-           "DegradedError", "InlineBridge", "VERIFY_ENV", "WorkerBridge",
-           "default_breaker_cooldown", "default_breaker_threshold"]
+__all__ = ["CircuitBreaker", "DEFAULT_BREAKER_COOLDOWN",
+           "DEFAULT_BREAKER_THRESHOLD", "DegradedError", "InlineBridge",
+           "VERIFY_ENV", "WorkerBridge"]

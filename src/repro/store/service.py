@@ -22,9 +22,10 @@ the drivers need:
 The typed entry points (:meth:`minimize`, :meth:`place_route`,
 :meth:`evaluate_batch`, :meth:`yield_run`) wrap
 :meth:`get_or_compute` with the codecs of
-:mod:`repro.store.codecs`; drivers with their own fan-out (Table 1,
-the suite) use :meth:`get_or_compute` per task and delegate the misses
-to the resilient runner.
+:mod:`repro.store.codecs`; :meth:`evaluate_batch` computes a miss in
+the calling process (a CLI command, a serve worker).  Drivers with
+their own fan-out (Table 1, the suite) use :meth:`get_or_compute` per
+task and delegate the misses to the resilient runner.
 """
 
 from __future__ import annotations
@@ -254,20 +255,17 @@ class SynthesisService:
             decode=lambda payload: codecs.decode_place_route(payload,
                                                              netlist))
 
-    def evaluate_batch(self, covers, minterms=None, stream=None,
-                       jobs: int = 1, pool=None):
+    def evaluate_batch(self, covers, minterms=None, stream=None):
         """Batched cover evaluation served through the store.
 
         Evaluates every cover of ``covers`` on a common vector batch —
         either an explicit ``minterms`` list or a deterministic LFSR
         ``stream`` spec (:func:`repro.testgen.lfsr.stream_spec`) — and
         returns per-cover output-mask lists (kind ``eval_batch``).  The
-        miss path goes through :func:`repro.eval.evaluate_covers`, so
-        the arena fast path and its per-cover/scalar oracles produce
-        the same artifact; stream requests are keyed by the compact
-        spec, not the expanded vectors.  ``pool`` (a warm
-        :class:`repro.runner.WarmPool`) lets serving miss paths reuse
-        live workers instead of spinning a pool up per call.
+        miss path is one in-process :func:`repro.eval.evaluate_covers`
+        call, so the arena fast path and its scalar oracle produce the
+        same artifact; stream requests are keyed by the compact spec,
+        not the expanded vectors.
         """
         if (minterms is None) == (stream is None):
             raise ValueError("pass exactly one of minterms= or stream=")
@@ -284,8 +282,7 @@ class SynthesisService:
 
         def compute():
             from repro import eval as batch_eval
-            return batch_eval.evaluate_covers(covers, vectors, jobs=jobs,
-                                              pool=pool)
+            return batch_eval.evaluate_covers(covers, vectors)
 
         return self.get_or_compute(
             "eval_batch", request, compute,

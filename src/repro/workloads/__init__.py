@@ -65,11 +65,6 @@ def strip_prefix(name: str) -> str:
     return name[len(PREFIX):] if name.startswith(PREFIX) else name
 
 
-def is_workload(name: str) -> bool:
-    """True when a benchmark name routes through this registry."""
-    return name.startswith(PREFIX)
-
-
 def parse_workload(spec: str) -> dict:
     """Parse a spec string into its JSON-shaped description.
 
@@ -242,7 +237,7 @@ def clear_caches() -> None:
 
 
 __all__ = ["ALGORITHMS", "DEFAULT_WORKLOADS", "PREFIX", "build_workload",
-           "clear_caches", "is_workload", "list_workloads",
+           "clear_caches", "list_workloads",
            "model_digest", "oracle_mask", "parse_workload",
            "raw_function", "strip_prefix", "train_model",
            "workload_function"]

@@ -4,14 +4,11 @@ The arena (:mod:`repro.kernels.batcharena`) and its facade
 (:mod:`repro.eval`) are pure throughput plumbing: every result must be
 bit-identical to the per-cover kernels (``bitslice.eval_minterms``,
 per-trial ``repair_config``) and to the scalar oracles.
-These tests pin that contract on hypothesis-made covers, exercise the
-shared-memory lifecycle across real worker processes, and verify the
+These tests pin that contract on hypothesis-made covers and verify the
 Galois-LFSR stream generator exhaustively at small widths.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -202,75 +199,6 @@ class TestConfigArenaDifferential:
 
 
 # ----------------------------------------------------------------------
-# shared-memory lifecycle
-# ----------------------------------------------------------------------
-def _worker_eval(payload):
-    """Top-level worker: attach the arena zero-copy, evaluate, detach."""
-    handle, minterms = payload
-    arena = batcharena.attach_arena(handle)
-    try:
-        return arena.eval_minterms(minterms).tolist()
-    finally:
-        batcharena.close_arena(arena)
-
-
-class TestSharedMemory:
-    def _batch(self):
-        from repro.bench.mcnc import benchmark_function, get_benchmark
-        return [benchmark_function(get_benchmark(name), seed=0).on_set
-                for name in ("syn_small", "syn_dec5", "syn_tall")]
-
-    def test_roundtrip_is_bit_identical(self):
-        batch = self._batch()
-        minterms = GaloisLFSR(8, seed=3).states(128)
-        with kernels.forced_backend("numpy"):
-            arena = batcharena.CoverArena.from_covers(batch)
-            local = arena.eval_minterms(minterms)
-            with batcharena.share_arena(arena) as shared:
-                attached = batcharena.attach_arena(shared.handle)
-                try:
-                    remote = attached.eval_minterms(minterms)
-                finally:
-                    batcharena.close_arena(attached)
-        assert (local == remote).all()
-
-    def test_worker_pool_attaches_zero_copy(self):
-        """Real subprocesses map the segment and agree bit for bit."""
-        batch = self._batch()
-        blocks = [GaloisLFSR(8, seed=s).states(64) for s in range(4)]
-        with kernels.forced_backend("numpy"):
-            arena = batcharena.CoverArena.from_covers(batch)
-            expect = [arena.eval_minterms(block).tolist()
-                      for block in blocks]
-            with batcharena.share_arena(arena) as shared, \
-                    ProcessPoolExecutor(max_workers=2) as pool:
-                got = list(pool.map(_worker_eval,
-                                    [(shared.handle, block)
-                                     for block in blocks]))
-        assert got == expect
-
-    def test_parallel_facade_matches_serial(self):
-        """jobs>1 routes blocks through shm workers; results identical."""
-        batch = self._batch()
-        minterms = GaloisLFSR(13, seed=7).states(
-            batch_eval.BLOCK_VECTORS + 512)
-        with kernels.forced_backend("numpy"):
-            serial = batch_eval.evaluate_covers(batch, minterms)
-            fanned = batch_eval.evaluate_covers(batch, minterms, jobs=2)
-        assert fanned == serial
-
-    def test_dispose_unlinks_segment(self):
-        from multiprocessing import shared_memory
-        with kernels.forced_backend("numpy"):
-            arena = batcharena.CoverArena.from_covers(self._batch())
-        shared = batcharena.share_arena(arena)
-        name = shared.handle["shm"]
-        shared.dispose()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-# ----------------------------------------------------------------------
 # consumers: yield engine and suite BIST
 # ----------------------------------------------------------------------
 class TestConsumers:
@@ -300,7 +228,6 @@ class TestConsumers:
                 DefectMap.sample(fabric.n_physical_rows, fabric.n_columns,
                                  model, settings.seed * 1_000_003 + j),
                 golden, function=function) for j in range(settings.samples)]
-        yield_engine._WORKER_CACHE.clear()
         with kernels.forced_backend("python"):
             scalar = yield_engine.run_yield_chunk(payload)
         yield_engine._WORKER_CACHE.clear()
@@ -309,6 +236,21 @@ class TestConsumers:
                  r["sc"]) for r in batched] == \
             [(o.n_defects, o.status, o.exact, o.correct_fraction,
               o.spare_rows_used, o.spare_cols_used) for o in per_trial]
+
+    def test_yield_chunk_cache_follows_backend(self):
+        """One process switching backends never reuses the other's
+        prepared golden reference (the cache is keyed by backend)."""
+        from repro.robustness import yield_engine
+        payload = self._chunk()
+        yield_engine._WORKER_CACHE.clear()
+        try:
+            records = []
+            for backend in ("python", "numpy", "python"):
+                with kernels.forced_backend(backend):
+                    records.append(yield_engine.run_yield_chunk(payload))
+        finally:
+            yield_engine._WORKER_CACHE.clear()
+        assert records[0] == records[1] == records[2]
 
     def test_suite_bist_verifies_on_every_path(self):
         from repro.bench.mcnc import get_benchmark

@@ -142,6 +142,10 @@ class TestValidation:
         assert a.read_bytes() == b.read_bytes()
         validate_datasheet(json.loads(b.read_text()))
 
+    def test_write_datasheet_creates_directory(self, tmp_path, sheet):
+        path = write_datasheet(tmp_path / "char-stats" / "sheet.json", sheet)
+        validate_datasheet(json.loads(path.read_text()))
+
 
 class TestCLI:
     def test_characterize_smoke(self, tmp_path, capsys):

@@ -46,6 +46,15 @@ def _slow(x):
     return x
 
 
+#: Parent-side state a forked worker inherits; a worker started any
+#: other way would re-import this module and see the initial value.
+_FORK_MARKER = "imported"
+
+
+def _fork_marker(_x):
+    return _FORK_MARKER
+
+
 class TestInline:
     def test_values_in_task_order(self):
         report = run_tasks(_double, [(i, i) for i in range(5)])
@@ -175,14 +184,17 @@ class TestDefaults:
 
 class TestWarmPool:
     def test_start_method_defaults_to_fork(self, monkeypatch):
-        from repro.runner import MP_START_ENV, _mp_context
-        monkeypatch.delenv(MP_START_ENV, raising=False)
-        assert _mp_context().get_start_method() == "fork"
-        monkeypatch.setenv(MP_START_ENV, "forkserver")
-        assert _mp_context().get_start_method() == "forkserver"
-        monkeypatch.setenv(MP_START_ENV, "nosuch")
-        # unknown methods fall back to the platform default
-        assert _mp_context().get_start_method() is not None
+        """Workers fork at first submit and see the parent's state then."""
+        import sys
+        from repro.runner import WarmPool
+        pool = WarmPool(jobs=1)
+        try:
+            monkeypatch.setattr(sys.modules[__name__], "_FORK_MARKER",
+                                "forked")
+            assert pool.submit(_fork_marker, None).result(timeout=30) \
+                == "forked"
+        finally:
+            pool.shutdown()
 
     def test_lazy_start_and_reuse(self):
         from repro.runner import WarmPool
@@ -205,11 +217,12 @@ class TestWarmPool:
         pool = WarmPool(jobs=1)
         try:
             with pytest.raises(Exception):
-                pool.run(_suicide, "die", retries=1, backoff=0.0,
-                         timeout=30.0)
+                run_tasks(_suicide, [("die", "die")], pool=pool, retries=1,
+                          backoff=0.0, timeout=30.0).raise_on_failure()
             assert pool.n_recycles >= 1
             # the recycled pool keeps serving
-            assert pool.run(_double, 3, timeout=30.0) == 6
+            assert run_tasks(_double, [(3, 3)], pool=pool,
+                             timeout=30.0).values() == [6]
         finally:
             pool.shutdown()
 
@@ -217,9 +230,10 @@ class TestWarmPool:
         from repro.runner import WarmPool
         pool = WarmPool(jobs=1)
         try:
-            with pytest.raises(TimeoutError):
-                pool.run(_slow, "hang", timeout=0.5, retries=0,
-                         backoff=0.0)
+            with pytest.raises(TaskFailure) as failure:
+                run_tasks(_slow, [("hang", "hang")], pool=pool, timeout=0.5,
+                          retries=0, backoff=0.0).raise_on_failure()
+            assert failure.value.failed[0].status == STATUS_TIMEOUT
             assert pool.n_recycles >= 1
         finally:
             pool.shutdown()

@@ -493,8 +493,9 @@ class TestTransport:
                 proc.wait()
             proc.stderr.close()
 
-    def test_cli_stdio_session_exits_cleanly(self):
-        """`repro serve --stdio` replies, then exits 0 at end of input."""
+    def test_cli_stdio_session_exits_cleanly(self, tmp_path):
+        """`repro serve --stdio` replies, then exits 0 at end of input,
+        with stdin and stdout each on a pipe or on a regular file."""
         import json
         import os
         import subprocess
@@ -504,17 +505,32 @@ class TestTransport:
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        done = subprocess.run(
-            [_sys.executable, "-m", "repro", "serve", "--stdio"],
-            input='{"id": 1, "op": "ping"}\n', env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            timeout=120)
-        assert "Traceback" not in done.stderr
-        assert done.returncode == 0, done.stderr
-        replies = [json.loads(line) for line in done.stdout.splitlines()]
-        assert len(replies) == 1
-        assert replies[0]["id"] == 1
-        assert replies[0]["result"]["pong"] is True
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text('{"id": 1, "op": "ping"}\n'
+                            '{"id": 2, "op": "ping"}\n')
+        for stdin_kind in ("pipe", "file"):
+            for stdout_kind in ("pipe", "file"):
+                where = f"stdin on a {stdin_kind}, stdout on a {stdout_kind}"
+                replies = tmp_path / f"replies-{stdin_kind}-{stdout_kind}"
+                with open(requests) as source, open(replies, "w") as sink:
+                    streams = {
+                        "stdout": (subprocess.PIPE if stdout_kind == "pipe"
+                                   else sink)}
+                    if stdin_kind == "pipe":
+                        streams["input"] = requests.read_text()
+                    else:
+                        streams["stdin"] = source
+                    done = subprocess.run(
+                        [_sys.executable, "-m", "repro", "serve", "--stdio"],
+                        env=env, stderr=subprocess.PIPE, text=True,
+                        timeout=120, **streams)
+                out = done.stdout if stdout_kind == "pipe" \
+                    else replies.read_text()
+                assert done.stderr == "", f"{where}: {done.stderr}"
+                assert done.returncode == 0, where
+                lines = [json.loads(line) for line in out.splitlines()]
+                assert sorted(r["id"] for r in lines) == [1, 2], where
+                assert all(r["result"]["pong"] is True for r in lines), where
 
     def test_per_endpoint_latency_reservoirs(self):
         perf.reset()
