@@ -40,7 +40,8 @@ class CharacterizeSettings:
     ----------
     benchmark:
         Registry benchmark name (``max46`` / ``apla`` / ``t2`` /
-        ``syn_*``) naming the function to characterize.
+        ``syn_*`` / ``workload:<spec>``) naming the function to
+        characterize.
     techs:
         Technology specs, each a registry name or a descriptor-file
         path; the datasheet carries one entry per spec, in order.
@@ -67,15 +68,25 @@ class CharacterizeSettings:
     spares: Tuple[Tuple[int, int], ...] = ((2, 1),)
 
     def __post_init__(self):
+        from repro.bench.mcnc import check_benchmark
+        from repro.errors import ReproInputError, check_int
+
+        check_benchmark(self.benchmark)
+        # lists (the JSON form) become tuples
+        object.__setattr__(self, "techs", tuple(self.techs))
+        object.__setattr__(self, "spares",
+                           tuple(tuple(pair) for pair in self.spares))
         if not self.techs:
-            raise ValueError("need at least one technology")
-        if min(self.power_vectors, self.variation_trials,
-               self.yield_samples) < 1:
-            raise ValueError("power_vectors, variation_trials and "
-                             "yield_samples must all be >= 1")
+            raise ReproInputError("need at least one technology")
+        check_int("seed", self.seed)
+        for name in ("power_vectors", "variation_trials", "yield_samples"):
+            check_int(name, getattr(self, name), 1)
         if not self.spares:
-            raise ValueError("need at least one (spare_rows, spare_cols) "
-                             "point")
+            raise ReproInputError("need at least one (spare_rows, "
+                                  "spare_cols) point")
+        for rows, cols in self.spares:
+            check_int("spare_rows", rows, 0)
+            check_int("spare_cols", cols, 0)
 
     def to_json(self) -> Dict[str, Any]:
         """Canonically-JSON-serializable form (tuples become lists)."""
@@ -103,16 +114,7 @@ def run_characterize_cell(payload: dict) -> dict:
     """
     from repro import tech as tech_mod
 
-    settings = CharacterizeSettings(
-        benchmark=payload["settings"]["benchmark"],
-        techs=tuple(payload["settings"]["techs"]),
-        seed=payload["settings"]["seed"],
-        power_vectors=payload["settings"]["power_vectors"],
-        variation_trials=payload["settings"]["variation_trials"],
-        yield_samples=payload["settings"]["yield_samples"],
-        spares=tuple(tuple(pair)
-                     for pair in payload["settings"]["spares"]),
-    )
+    settings = CharacterizeSettings(**payload["settings"])
     spec = payload["tech"]
     if payload["cell"] == "yield":
         return _yield_cell(settings, spec, payload["spare_rows"],

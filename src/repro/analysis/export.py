@@ -17,7 +17,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence, Union
+from typing import Any, Dict, Iterable, Sequence, Union
 
 
 def rows_to_csv(headers: Sequence[str],

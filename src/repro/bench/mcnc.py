@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
+from repro.errors import ReproInputError
 from repro.espresso.irredundant import irredundant
 from repro.logic.cover import Cover
 from repro.logic.cube import BIT_DASH, BIT_ONE, BIT_ZERO, Cube
@@ -93,6 +94,16 @@ def get_benchmark(name: str) -> BenchmarkStats:
         if stats.name == name:
             return stats
     raise KeyError(f"unknown benchmark {name!r}")
+
+
+def check_benchmark(name: object) -> None:
+    """Raise :class:`ReproInputError` unless :func:`get_benchmark`
+    resolves ``name``; ``workload:`` specs are parsed, never compiled."""
+    if isinstance(name, str) and name.startswith("workload:"):
+        from repro import workloads
+        workloads.parse_workload(name)
+    elif all(stats.name != name for stats in EXTENDED_SUITE):
+        raise ReproInputError(f"unknown benchmark {name!r}")
 
 
 def synthesize_cover(stats: BenchmarkStats, seed: int = 0,

@@ -9,8 +9,7 @@ throughout the tests, examples and ablation benches.
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
+from typing import Optional
 
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube

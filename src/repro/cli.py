@@ -31,7 +31,7 @@ from repro.espresso import espresso
 from repro.logic.function import BooleanFunction
 from repro.logic.pla_format import parse_pla, write_pla
 from repro.mapping.gnor_map import map_cover_to_gnor
-from repro.tech import get_tech, names as tech_names, resolve_tech
+from repro.tech import resolve_tech
 
 
 def _load(path: str) -> BooleanFunction:
@@ -250,13 +250,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_yield(args) -> int:
-    import json
     from repro.robustness.yield_engine import YieldSettings, estimate_yield
-    from repro.bench.mcnc import get_benchmark
-    try:
-        get_benchmark(args.benchmark)
-    except KeyError as exc:
-        raise ReproInputError(str(exc.args[0]))
     if args.rate is not None:
         p_off, p_on = args.rate * 0.7, args.rate * 0.3
     else:
@@ -300,10 +294,7 @@ def _cmd_yield(args) -> int:
                        title=f"Manufacturing yield: {args.benchmark} "
                              f"(seed {args.seed})"))
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}", file=sys.stderr)
+        _write_json(args.json, data)
     return 0
 
 
@@ -321,7 +312,6 @@ def _write_json(path: str, data) -> None:
 
 
 def _cmd_cache(args) -> int:
-    import json
     from repro.store import ArtifactStore, default_root
     store = ArtifactStore(args.dir or default_root())
     action = args.action
@@ -499,9 +489,8 @@ def _cmd_tech(args) -> int:
         return 0
     # show
     if not args.name:
-        print("error: tech show needs a NAME (registry name or "
-              "descriptor path)", file=sys.stderr)
-        return 2
+        raise ReproInputError("tech show needs a NAME (registry name or "
+                              "descriptor path)")
     descriptor = resolve_tech(args.name)
     if args.json:
         data = descriptor.to_json()
@@ -521,7 +510,6 @@ def _cmd_characterize(args) -> int:
     from repro.analysis.characterize import (CharacterizeSettings,
                                              characterize)
     from repro.analysis.export import write_datasheet
-    from repro.bench.mcnc import get_benchmark
     if (args.benchmark is None) == (args.cell is None):
         raise ReproInputError(
             "pass exactly one of --benchmark or --cell")
@@ -529,13 +517,6 @@ def _cmd_characterize(args) -> int:
         from repro import workloads
         args.benchmark = workloads.PREFIX \
             + workloads.strip_prefix(args.cell)
-    try:
-        get_benchmark(args.benchmark)
-    except KeyError as exc:
-        raise ReproInputError(str(exc.args[0]))
-    techs = tuple(args.tech) if args.tech else ("flash", "eeprom", "cnfet")
-    for spec in techs:
-        resolve_tech(spec)  # fail fast on unknown specs, pre-sweep
     spares = []
     for spec in (args.spares or ["2,1"]):
         try:
@@ -545,13 +526,14 @@ def _cmd_characterize(args) -> int:
             raise ReproInputError(
                 f"bad --spares {spec!r} (expected ROWS,COLS)")
     settings = CharacterizeSettings(
-        benchmark=args.benchmark, techs=techs, seed=args.seed,
+        benchmark=args.benchmark, seed=args.seed,
+        techs=args.tech or CharacterizeSettings.techs,
         power_vectors=args.power_vectors,
         variation_trials=args.variation_trials,
-        yield_samples=args.yield_samples, spares=tuple(spares))
+        yield_samples=args.yield_samples, spares=spares)
     checkpoint = args.checkpoint or _default_checkpoint(
-        "characterize", args.benchmark.replace(":", "_"), len(techs),
-        args.seed)
+        "characterize", args.benchmark.replace(":", "_"),
+        len(settings.techs), args.seed)
     datasheet = characterize(settings, jobs=args.jobs,
                              checkpoint=checkpoint, resume=args.resume,
                              retries=args.retries)
@@ -612,7 +594,6 @@ def _cmd_workload(args) -> int:
         raise ReproInputError(f"workload {args.action} needs a spec "
                               f"(see `repro workload ls`)")
     spec = workloads.strip_prefix(args.spec)
-    workloads.parse_workload(spec)
     if args.action == "build":
         raw = workloads.raw_function(spec)
         compiled = workloads.workload_function(spec)
@@ -633,17 +614,11 @@ def _cmd_workload(args) -> int:
 
     if args.action == "eval":
         from repro.store.service import get_service
-        from repro.testgen.lfsr import stream_minterms, stream_spec
 
+        check = workloads.oracle_check(spec, args.words, args.seed)
         compiled = workloads.workload_function(spec)
-        stream = stream_spec(max(2, compiled.n_inputs), args.words,
-                             seed=args.seed)
-        masks = get_service().evaluate_batch([compiled.on_set],
-                                             stream=stream)[0]
-        mismatches = sum(
-            1 for minterm, mask in zip(stream_minterms(stream), masks)
-            if mask != workloads.oracle_mask(spec, minterm))
-        print(f"{compiled.name}: {args.words * 64} vectors, "
+        mismatches = check["mismatches"]
+        print(f"{compiled.name}: {check['vectors']} vectors, "
               f"{mismatches} oracle mismatches")
         info = workloads.parse_workload(spec)
         if info["family"] == "clf":
@@ -665,15 +640,11 @@ def _cmd_workload(args) -> int:
     from repro.analysis.export import write_curve_report
     from repro.workloads.curves import CurveSettings, run_curve
 
-    techs = tuple(args.tech) if args.tech else ("cnfet",)
-    rates = tuple(args.rate) if args.rate else (0.0005, 0.001, 0.002,
-                                                0.004)
-    try:
-        settings = CurveSettings(spec=spec, techs=techs, rates=rates,
-                                 samples=args.samples, seed=args.seed,
-                                 stream_words=args.words)
-    except ValueError as exc:
-        raise ReproInputError(str(exc))
+    settings = CurveSettings(spec=spec,
+                             techs=args.tech or CurveSettings.techs,
+                             rates=args.rate or CurveSettings.rates,
+                             samples=args.samples, seed=args.seed,
+                             stream_words=args.words)
     report = run_curve(settings, jobs=args.jobs)
     fn = report["function"]
     title = (f"Curve: {fn['name']} I={fn['inputs']} O={fn['outputs']} "
@@ -775,8 +746,6 @@ caching:
         store root (default .repro/store); entries are keyed by
         inputs + config + REPRO_KERNEL backend + schema version, so
         backends and incompatible versions never share artifacts
-  REPRO_CACHE_MEM=N
-        in-memory LRU entries layered over the disk tier (default 128)
   REPRO_CACHE_DISK_BYTES=N
         cap the disk tier: every put opportunistically evicts
         oldest-access-first down to N bytes (disk hits refresh the

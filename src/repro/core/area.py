@@ -20,7 +20,7 @@ values and any user-supplied ones flow through the same area model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.tech import TechDescriptor, get_tech
 

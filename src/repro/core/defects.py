@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.device import AmbipolarCNFET, Polarity
+from repro.errors import ReproInputError
 
 
 class DefectType(enum.Enum):
@@ -42,6 +43,8 @@ class DefectModel:
     p_stuck_off, p_stuck_on, p_pg_leak:
         Independent per-device probabilities of each defect type; a
         device suffers at most one (sampled in this priority order).
+        Each must lie in [0, 1] and their sum must not exceed 1
+        (:class:`~repro.errors.ReproInputError` otherwise).
     """
 
     p_stuck_off: float = 0.0
@@ -49,9 +52,14 @@ class DefectModel:
     p_pg_leak: float = 0.0
 
     def __post_init__(self):
-        total = self.p_stuck_off + self.p_stuck_on + self.p_pg_leak
-        if not 0.0 <= total <= 1.0:
-            raise ValueError("defect probabilities must sum to <= 1")
+        for name in ("p_stuck_off", "p_stuck_on", "p_pg_leak"):
+            rate = getattr(self, name)
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
+                    or not 0.0 <= rate <= 1.0:
+                raise ReproInputError(f"{name} must be a probability in "
+                                      f"[0, 1], got {rate!r}")
+        if self.total_rate() > 1.0:
+            raise ReproInputError("defect probabilities must sum to <= 1")
 
     @classmethod
     def from_tube_statistics(cls, tubes_per_device: int, p_tube_open: float,

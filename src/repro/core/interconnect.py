@@ -11,7 +11,7 @@ NOR planes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.device import (AmbipolarCNFET, DEFAULT_PARAMETERS,
                                DeviceParameters, Polarity)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.device import DEFAULT_PARAMETERS, DeviceParameters
-from repro.core.gnor import GNORGate, InputConfig
+from repro.core.gnor import GNORGate
 from repro.espresso.espresso import minimize
 from repro.espresso.phase import assign_output_phases
 from repro.logic.cover import Cover

@@ -15,7 +15,7 @@ input toggles) disappear entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.core.classical_pla import ClassicalPLA
 from repro.core.pla import AmbipolarPLA

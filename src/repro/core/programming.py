@@ -17,9 +17,9 @@ reading every PG back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.device import AmbipolarCNFET, DeviceParameters, Polarity
+from repro.core.device import AmbipolarCNFET, Polarity
 
 
 @dataclass

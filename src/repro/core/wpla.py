@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.device import DEFAULT_PARAMETERS, DeviceParameters
 from repro.core.pla import AmbipolarPLA
 
 

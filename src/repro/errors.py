@@ -41,4 +41,18 @@ class ReproInputError(ValueError):
         return prefix + self.message
 
 
-__all__ = ["ReproInputError"]
+def check_int(name: str, value: object, low: Optional[int] = None,
+              high: Optional[int] = None) -> int:
+    """``value`` if it is an integer (not a bool) in ``low..high``, else
+    raise :class:`ReproInputError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ReproInputError(f"{name} must be an integer, got "
+                              f"{type(value).__name__}")
+    if (low is not None and value < low) or \
+            (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ReproInputError(f"{name} must be {bounds}, got {value}")
+    return value
+
+
+__all__ = ["ReproInputError", "check_int"]

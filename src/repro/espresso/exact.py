@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.cover import Cover
-from repro.logic.cube import BIT_DASH, BIT_ONE, BIT_ZERO, Cube, full_input_mask
+from repro.logic.cube import BIT_DASH, BIT_ONE, BIT_ZERO, Cube
 from repro.logic.function import BooleanFunction
 
 

@@ -19,7 +19,7 @@ primes are bit-identical either way.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube

@@ -23,7 +23,7 @@ from typing import Optional
 from repro import perf
 from repro.logic.complement import complement_cover
 from repro.logic.cover import Cover
-from repro.logic.cube import Cube, full_input_mask
+from repro.logic.cube import Cube
 from repro.logic.tautology import is_tautology
 
 

@@ -12,8 +12,8 @@ observability the physical fabric would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.area import CNFET_AMBIPOLAR, Technology, interconnect_area, pla_area
 from repro.core.device import DEFAULT_PARAMETERS, DeviceParameters

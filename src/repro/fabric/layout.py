@@ -9,8 +9,8 @@ later stage or is a primary output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
 from repro.mapping.partition import Block, PartitionResult
 

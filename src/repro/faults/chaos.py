@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.faults.registry import FaultPlan, install, parse_spec
+from repro.faults.registry import FaultPlan, parse_spec
 
 #: Default store-segment schedule: every disk-tier failpoint armed at a
 #: few percent (publication *hang*, not crash — the in-process segment

@@ -20,7 +20,7 @@ Format (little-endian)::
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.device import DEFAULT_PARAMETERS, DeviceParameters, Polarity
 from repro.core.gnor import InputConfig

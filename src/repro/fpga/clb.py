@@ -16,7 +16,7 @@ area) used by the ablation benches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.area import (CNFET_AMBIPOLAR, FLASH, Technology,
                              _as_technology, pla_area)

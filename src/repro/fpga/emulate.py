@@ -14,6 +14,10 @@ Protocol (Section 5 of the paper):
 4. measure occupancy and maximum frequency of both through the same
    place-and-route-and-timing code path.
 
+Steps 1-3 are :func:`table2_problem`, the one set-up shared by
+:func:`run_emulation` (``repro table2``) and the serve ``place_route``
+op, which implements one of its two fabrics.
+
 The flow runs on the backend ``REPRO_KERNEL`` selects: the array-backed
 grid engine (:mod:`repro.fpga.grid`) or the scalar oracle loops.  Both
 produce bit-identical placements, routes and Table 2 numbers for the
@@ -33,14 +37,14 @@ outputs (timing is cheap and always recomputed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
-from repro.fpga.clb import CLBSpec, ambipolar_pla_clb, standard_pla_clb
+from repro.fpga.clb import ambipolar_pla_clb, standard_pla_clb
 from repro.fpga.fabric import FPGAFabric
 from repro.fpga.netlist import Netlist, build_netlist
-from repro.fpga.placement import Placement, place
-from repro.fpga.routing import RoutingResult, route
+from repro.fpga.placement import Placement
+from repro.fpga.routing import RoutingResult
 from repro.fpga.timing import (DEFAULT_WIRE_DELAY, TimingReport,
                                WireDelayParameters, analyze_timing)
 from repro.logic.function import BooleanFunction
@@ -184,36 +188,14 @@ def implement(partitions: Sequence[PartitionResult], fabric: FPGAFabric,
     )
 
 
-def run_emulation(seed: int = 2, grid_side: int = 10,
-                  target_occupancy: float = 0.99,
-                  clb_inputs: int = 9, clb_outputs: int = 4,
-                  clb_products: int = 20,
-                  channel_capacity: int = 28,
-                  clb_area_factor: float = 0.5,
-                  wire_params: WireDelayParameters = DEFAULT_WIRE_DELAY,
-                  jobs: int = 1) -> EmulationReport:
-    """Run the full Table 2 protocol.
-
-    Parameters
-    ----------
-    seed:
-        Workload / placement seed (the experiment is deterministic).
-    grid_side:
-        Standard-fabric grid side; the workload is generated to fill it
-        to ``target_occupancy``.
-    clb_*:
-        CLB capacity shared by both variants.
-    channel_capacity:
-        Routing tracks per channel segment.
-    clb_area_factor:
-        The paper's emulation ratio (0.5 = "half of the area for every
-        CLB").
-    jobs:
-        With ``jobs > 1`` the two fabric implementations (standard and
-        CNFET) run in separate worker processes.  They are independent
-        place-and-route problems over the same workload, so the report
-        is identical for any job count.
-    """
+def table2_problem(seed: int, grid_side: int, target_occupancy: float = 0.99,
+                   clb_inputs: int = 9, clb_outputs: int = 4,
+                   clb_products: int = 20, channel_capacity: int = 28,
+                   clb_area_factor: float = 0.5
+                   ) -> Tuple[List[PartitionResult], FPGAFabric, FPGAFabric]:
+    """``(partitions, standard_fabric, cnfet_fabric)`` of Table 2: the
+    workload (store kind ``table2_workload``) filling the standard
+    fabric to ``target_occupancy``, and the same die with CNFET CLBs."""
     std_clb = standard_pla_clb(clb_inputs, clb_outputs, clb_products)
     amb_clb = ambipolar_pla_clb(clb_inputs, clb_outputs, clb_products,
                                 area_factor=clb_area_factor)
@@ -235,6 +217,42 @@ def run_emulation(seed: int = 2, grid_side: int = 10,
 
     std_fabric = FPGAFabric(grid_side, grid_side, std_clb, channel_capacity)
     amb_fabric = FPGAFabric.same_die(std_fabric, amb_clb, channel_capacity)
+    return partitions, std_fabric, amb_fabric
+
+
+def run_emulation(seed: int = 2, grid_side: int = 10,
+                  target_occupancy: float = 0.99,
+                  clb_inputs: int = 9, clb_outputs: int = 4,
+                  clb_products: int = 20,
+                  channel_capacity: int = 28,
+                  clb_area_factor: float = 0.5,
+                  wire_params: WireDelayParameters = DEFAULT_WIRE_DELAY,
+                  jobs: int = 1) -> EmulationReport:
+    """Run the full Table 2 protocol on :func:`table2_problem`.
+
+    Parameters
+    ----------
+    seed:
+        Workload / placement seed (the experiment is deterministic).
+    grid_side:
+        Standard-fabric grid side; the workload is generated to fill it
+        to ``target_occupancy``.
+    clb_*:
+        CLB capacity shared by both variants.
+    channel_capacity:
+        Routing tracks per channel segment.
+    clb_area_factor:
+        The paper's emulation ratio (0.5 = "half of the area for every
+        CLB").
+    jobs:
+        With ``jobs > 1`` the two fabric implementations (standard and
+        CNFET) run in separate worker processes.  They are independent
+        place-and-route problems over the same workload, so the report
+        is identical for any job count.
+    """
+    partitions, std_fabric, amb_fabric = table2_problem(
+        seed, grid_side, target_occupancy, clb_inputs, clb_outputs,
+        clb_products, channel_capacity, clb_area_factor)
 
     if jobs > 1:
         # resilient fan-out: the two independent place-and-route runs

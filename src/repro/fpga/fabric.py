@@ -11,7 +11,7 @@ the CLB shrinks every wire — the mechanism behind Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.fpga.clb import CLBSpec
 

@@ -13,7 +13,7 @@ not routed but generated internally").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.mapping.partition import Block, PartitionResult
 

@@ -21,7 +21,7 @@ and therefore every routed tree — is bit-identical across backends.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import kernels, perf

@@ -15,8 +15,8 @@ the identical code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro import kernels, perf
 from repro.fpga.fabric import Edge, FPGAFabric

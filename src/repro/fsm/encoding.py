@@ -9,7 +9,7 @@ toggling (dynamic energy on the fabric).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 
 @dataclass

@@ -7,8 +7,8 @@ second don't-care), so an FSM spec reads like a KISS2 state table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ needed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.logic.cover import Cover
 from repro.logic.cube import BIT_DASH, BIT_ONE, BIT_ZERO, Cube

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List
 
 from repro import kernels
-from repro.logic.cube import BIT_DASH, BIT_ONE, BIT_ZERO, Cube, full_input_mask
+from repro.logic.cube import BIT_ONE, BIT_ZERO, Cube, full_input_mask
 from repro.logic.cover import Cover
 
 

@@ -22,8 +22,8 @@ assignment) for the fabric and FPGA flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from repro.espresso.espresso import minimize
 from repro.logic.complement import complement_cover

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import kernels
-from repro.logic.bdd import BDDManager, FALSE, covers_equivalent_bdd
+from repro.logic.bdd import BDDManager, FALSE
 from repro.logic.cover import Cover
 
 

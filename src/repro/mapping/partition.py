@@ -22,8 +22,8 @@ netlist builder consumes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.espresso.espresso import minimize
 from repro.logic.cover import Cover

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 #: Per-timer latency samples retained for quantile estimation.  A ring:
 #: sample ``k`` overwrites slot ``k % RESERVOIR_SIZE``, so long windows

@@ -40,12 +40,17 @@ CHUNK_SIZE = 100
 class YieldSettings:
     """Everything that defines a yield experiment (JSON-roundtrippable).
 
+    Construction raises :class:`~repro.errors.ReproInputError` on a bad
+    field, before any sample runs; it only looks the benchmark up (no
+    synthesis), since workers rebuild the settings once per chunk.
+
     Attributes
     ----------
     benchmark:
-        Registry name (``max46`` / ``apla`` / ``t2`` / synthetic).
+        Registry name (``max46`` / ``apla`` / ``t2`` / synthetic) or a
+        ``workload:<spec>`` cell.
     samples:
-        Monte Carlo sample count.
+        Monte Carlo sample count (>= 1).
     seed:
         Base seed; sample ``j`` draws its defect map from
         ``seed * 1_000_003 + j``, so reports are reproducible and
@@ -53,7 +58,7 @@ class YieldSettings:
     p_stuck_off, p_stuck_on, p_pg_leak:
         Per-device defect rates (see :class:`~repro.core.defects.DefectModel`).
     spare_rows, spare_cols:
-        Fabric redundancy available to the repair pass.
+        Fabric redundancy available to the repair pass (>= 0).
     correlated:
         Sample row-correlated maps
         (:meth:`~repro.core.defects.DefectMap.sample_row_correlated`).
@@ -77,6 +82,24 @@ class YieldSettings:
     correlated: bool = False
     reminimize: bool = True
     tech: str = "cnfet"
+
+    def __post_init__(self) -> None:
+        from repro.bench.mcnc import check_benchmark
+        from repro.core.defects import DefectModel
+        from repro.errors import ReproInputError, check_int
+
+        check_benchmark(self.benchmark)
+        check_int("samples", self.samples, 1)
+        check_int("seed", self.seed)
+        check_int("spare_rows", self.spare_rows, 0)
+        check_int("spare_cols", self.spare_cols, 0)
+        DefectModel(self.p_stuck_off, self.p_stuck_on, self.p_pg_leak)
+        for name, kind in (("correlated", bool), ("reminimize", bool),
+                           ("tech", str)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ReproInputError(f"{name} must be {kind.__name__}, "
+                                      f"got {type(value).__name__}")
 
 
 @dataclass
@@ -208,20 +231,18 @@ def run_yield_chunk(payload: dict) -> List[dict]:
     ``count``.  Returns one JSON-shaped outcome record per sample.
     """
     settings = YieldSettings(**payload["settings"])
+    from repro import tech as tech_mod
+
+    with tech_mod.use(settings.tech):
+        return _run_chunk_under_tech(settings, payload)
+
+
+def _run_chunk_under_tech(settings: YieldSettings, payload: dict):
     from repro import kernels
     from repro import perf
-    from repro import tech as tech_mod
     from repro.core.defects import DefectMap, DefectModel
     from repro.robustness.repair import repair_config, repair_config_batch
 
-    with tech_mod.use(settings.tech):
-        return _run_chunk_under_tech(settings, payload, kernels, perf,
-                                     DefectMap, DefectModel, repair_config,
-                                     repair_config_batch)
-
-
-def _run_chunk_under_tech(settings, payload, kernels, perf, DefectMap,
-                          DefectModel, repair_config, repair_config_batch):
     function, config, fabric, golden = _prepared(settings)
     model = DefectModel(p_stuck_off=settings.p_stuck_off,
                         p_stuck_on=settings.p_stuck_on,

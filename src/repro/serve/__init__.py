@@ -12,7 +12,8 @@ The serving layer stacks four pieces (DESIGN section 10):
 * :mod:`repro.serve.server` — admission control with load-shedding,
   per-endpoint latency metrics, graceful drain;
 
-plus :mod:`repro.serve.client` (pipelined asyncio + blocking clients)
+plus :mod:`repro.serve.client` (pipelined asyncio client + its blocking
+wrapper)
 and :mod:`repro.serve.ops` (the picklable worker-side endpoints over
 the coalescing ``SynthesisService``).
 

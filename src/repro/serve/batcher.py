@@ -33,7 +33,7 @@ benchmark compares against.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro import perf
 from repro.serve import protocol

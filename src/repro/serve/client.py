@@ -8,36 +8,36 @@ Two flavours over the same wire format:
   server may reorder).  This is what the load generator and the
   concurrent-client tests use; it is also how the micro-batcher is fed
   enough simultaneous requests to batch.
-* :class:`ServeClient` — blocking sockets, strictly request/response.
-  Convenient for scripts and debugging (``repro serve`` + a five-line
-  client).
+* :class:`ServeClient` — blocking, strictly request/response: a thin
+  synchronous wrapper that runs an :class:`AsyncServeClient` on a
+  private event loop.  Convenient for scripts and debugging (``repro
+  serve`` + a five-line client).
 
 Both raise :class:`ServeError` for protocol-level error replies; the
 error's ``code`` distinguishes load-shedding (``overloaded``) from
 caller bugs (``bad_request``) so clients can implement retry policies.
 
-**Resilience.**  Both clients carry a :class:`RetryPolicy`: capped
-exponential backoff with *full jitter* on ``overloaded``/``degraded``
-replies and on connection resets/EOF, plus connect and per-request
-read deadlines so a dead or wedged server can never hang a caller.
-Replays are **idempotent by construction**: a retried request keeps
-its original request id, and every server reply is canonical JSON
-derived content-addressably from the request — a replayed request
-yields byte-identical results, so retrying after an ambiguous failure
-(reset mid-reply) cannot produce wrong answers, only repeated work.
+**Resilience.**  The async client carries a :class:`RetryPolicy`:
+capped exponential backoff with *full jitter* on ``overloaded``/
+``degraded`` replies, on connection resets/EOF and on deadline expiry,
+plus connect and per-request read deadlines so a dead or wedged server
+can never hang a caller.  Replays are **idempotent by construction**:
+a retried request keeps its original request id, and every server
+reply is canonical JSON derived content-addressably from the request
+— a replayed request yields byte-identical results, so retrying after
+an ambiguous failure (reset mid-reply) cannot produce wrong answers,
+only repeated work.
 ``shutting_down``/``bad_request``/``internal`` replies are never
-retried.  On the blocking client a deadline expiry surfaces as
-:class:`repro.errors.ReproInputError` (the CLI's clean exit), not an
-indefinite hang.
+retried.  On the blocking client a deadline expiry that outlives the
+retries surfaces as :class:`repro.errors.ReproInputError` (the CLI's
+clean exit), not an indefinite hang.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import socket
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro import perf
@@ -95,11 +95,6 @@ class RetryPolicy:
         return isinstance(exc, (ConnectionResetError, BrokenPipeError,
                                 ConnectionAbortedError, EOFError,
                                 asyncio.IncompleteReadError))
-
-
-_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError,
-                      ConnectionAbortedError, ConnectionError, EOFError,
-                      OSError)
 
 
 def _unwrap(document: dict) -> Any:
@@ -311,13 +306,13 @@ class AsyncServeClient:
 
 
 class ServeClient:
-    """Blocking request/response client (scripts, debugging).
+    """Blocking request/response client: an :class:`AsyncServeClient`
+    driven on a private event loop (scripts, debugging).
 
-    ``timeout`` is both the connect deadline and the per-reply read
-    deadline; expiry raises :class:`repro.errors.ReproInputError`
-    (clean CLI exit) instead of hanging on a dead server.  Transient
-    failures retry per ``retry`` (same policy as the async client),
-    reconnecting after resets.
+    ``timeout`` is the connect and per-reply deadline of its copy of
+    ``retry``; an expired deadline is retried on a fresh connection, and
+    once the retries are spent it raises
+    :class:`repro.errors.ReproInputError` instead of hanging.
     """
 
     def __init__(self, host: str, port: int,
@@ -325,77 +320,35 @@ class ServeClient:
                  retry: Optional[RetryPolicy] = None) -> None:
         self._address = (host, port)
         self._timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._sock: Optional[socket.socket] = None
-        self._file = None
-        self._next_id = 0
-        self._connect()
+        policy = replace(retry or RetryPolicy(), deadline=timeout,
+                         connect_timeout=timeout)
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._client = self._loop.run_until_complete(
+                self._connect(policy))
+        except BaseException:
+            self._loop.close()
+            raise
+        self.retry = self._client.retry
 
-    def _connect(self) -> None:
-        self._sock = socket.create_connection(
-            self._address, timeout=self._timeout)
-        # keep the timeout armed: every recv on this socket (readline
-        # below) inherits the read deadline
-        self._sock.settimeout(self._timeout)
-        self._file = self._sock.makefile("rb")
-
-    def _reconnect(self) -> None:
-        self.close()
-        self._connect()
-        perf.count("retries.reconnects")
+    async def _connect(self, policy: RetryPolicy) -> AsyncServeClient:
+        # built inside the private loop: on Python 3.9 asyncio.Lock
+        # binds to whichever loop is current when it is constructed
+        return await AsyncServeClient(policy).connect(*self._address)
 
     def request(self, op: str, params: Optional[dict] = None) -> Any:
-        self._next_id += 1
-        request_id = self._next_id
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return self._attempt(request_id, op, params)
-            except socket.timeout as exc:
-                raise ReproInputError(
-                    f"server {self._address[0]}:{self._address[1]} did not "
-                    f"reply to {op!r} within {self._timeout:.1f}s") from exc
-            except (ServeError, *_CONNECTION_ERRORS) as exc:
-                if isinstance(exc, ReproInputError):
-                    raise
-                if (not self.retry.retryable_error(exc)
-                        and not isinstance(exc, _CONNECTION_ERRORS)):
-                    raise
-                if attempt > self.retry.retries:
-                    raise
-                perf.count("retries.requests")
-                time.sleep(self.retry.delay(attempt))
-                if not isinstance(exc, ServeError):
-                    try:
-                        self._reconnect()
-                    except OSError:
-                        raise exc
-
-    def _attempt(self, request_id: int, op: str,
-                 params: Optional[dict]) -> Any:
-        self._sock.sendall(protocol.encode_request(request_id, op, params))
-        while True:
-            line = self._file.readline()
-            if not line:
-                raise ConnectionResetError("connection closed mid-request")
-            if not line.endswith(b"\n"):
-                raise ConnectionResetError("reset mid-reply (torn line)")
-            try:
-                document = protocol.parse_response(line)
-            except ValueError:
-                continue
-            if document.get("id") == request_id:
-                return _unwrap(document)
+        try:
+            return self._loop.run_until_complete(
+                self._client.request(op, params))
+        except (TimeoutError, asyncio.TimeoutError) as exc:
+            raise ReproInputError(
+                f"server {self._address[0]}:{self._address[1]} did not "
+                f"reply to {op!r} within {self._timeout:.1f}s") from exc
 
     def close(self) -> None:
-        try:
-            if self._file is not None:
-                self._file.close()
-            if self._sock is not None:
-                self._sock.close()
-        except OSError:
-            pass
+        if not self._loop.is_closed():
+            self._loop.run_until_complete(self._client.close())
+            self._loop.close()
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -9,6 +9,12 @@ take and return only JSON-shaped data (covers travel as
 of the content-addressed store with each other and with offline
 drivers, so a result synthesized for one client warms every later one.
 
+Each op is a thin adapter over the library call its CLI twin makes.
+Inputs are checked once, in the library, which raises
+:class:`~repro.errors.ReproInputError`; :func:`dispatch` maps that to
+:exc:`RequestError` for every op.  The ops check only the shape of
+their params and serve's caps on the work one request may ask for.
+
 Byte-identity contract: every op produces exactly what the equivalent
 direct ``SynthesisService`` call encodes to.  The serve tests and the
 ``bench_serve`` load generator compare the two canonical-JSON renders
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.errors import ReproInputError, check_int
 from repro.store import codecs
 
 
@@ -54,9 +61,13 @@ def _minterm_list(params: Dict[str, Any], field: str = "minterms"
     if not raw:
         raise RequestError(f"param {field!r} must be non-empty")
     try:
-        return [int(m) for m in raw]
-    except (TypeError, ValueError):
+        minterms = [int(m) for m in raw]
+    except (TypeError, ValueError, OverflowError):
         raise RequestError(f"param {field!r} must be a list of ints")
+    if not all(0 <= m < 1 << 64 for m in minterms):
+        raise RequestError(f"param {field!r} must hold minterms in "
+                           f"0..2**64-1")
+    return minterms
 
 
 # ----------------------------------------------------------------------
@@ -145,74 +156,33 @@ def op_evaluate_batch(params: Dict[str, Any]) -> Dict[str, Any]:
     return {"masks": [[int(m) for m in row] for row in masks]}
 
 
-#: Table 2 emulation constants shared by the ``place_route`` endpoint
-#: and :func:`repro.fpga.emulate.run_emulation` (keep in sync).
-PLACE_ROUTE_DEFAULTS = {"clb_inputs": 9, "clb_outputs": 4,
-                        "clb_products": 20, "channel_capacity": 28,
-                        "clb_area_factor": 0.5, "target_occupancy": 0.99}
-
-
-def _place_route_problem(params: Dict[str, Any]):
-    """(netlist, fabric, seed) of a ``place_route`` request."""
-    from repro.fpga import emulate
-    from repro.store.service import get_service
-
-    seed = int(params.get("seed", 2))
-    grid = int(params.get("grid", 6))
-    fabric_kind = params.get("fabric", "standard")
-    if fabric_kind not in ("standard", "cnfet"):
-        raise RequestError("param 'fabric' must be 'standard' or 'cnfet'")
-    if not (2 <= grid <= 64):
-        raise RequestError("param 'grid' must be in 2..64")
-    cfg = PLACE_ROUTE_DEFAULTS
-    partitioner = emulate.Partitioner(cfg["clb_inputs"], cfg["clb_outputs"],
-                                      cfg["clb_products"])
-    n_blocks = int(round(grid * grid * cfg["target_occupancy"]))
-    partitions = get_service().get_or_compute(
-        "table2_workload",
-        {"seed": seed, "n_blocks": n_blocks,
-         "partitioner": {"max_inputs": partitioner.max_inputs,
-                         "max_outputs": partitioner.max_outputs,
-                         "max_products": partitioner.max_products}},
-        lambda: emulate.generate_workload(seed, n_blocks, partitioner),
-        encode=codecs.encode_partitions, decode=codecs.decode_partitions)
-    std_clb = emulate.standard_pla_clb(cfg["clb_inputs"], cfg["clb_outputs"],
-                                       cfg["clb_products"])
-    std_fabric = emulate.FPGAFabric(grid, grid, std_clb,
-                                    cfg["channel_capacity"])
-    if fabric_kind == "cnfet":
-        amb_clb = emulate.ambipolar_pla_clb(
-            cfg["clb_inputs"], cfg["clb_outputs"], cfg["clb_products"],
-            area_factor=cfg["clb_area_factor"])
-        fabric = emulate.FPGAFabric.same_die(std_fabric, amb_clb,
-                                             cfg["channel_capacity"])
-    else:
-        fabric = std_fabric
-    netlist = emulate.build_netlist(
-        partitions, dual_polarity=fabric.clb.dual_polarity_inputs)
-    return netlist, fabric, seed
-
-
 def op_place_route(params: Dict[str, Any]) -> Dict[str, Any]:
     """Table 2-style place & route: ``{seed, grid, fabric}`` -> encoding.
 
-    Regenerates the deterministic emulation workload for ``(seed,
-    grid)`` (cached as ``table2_workload``), implements it on the
-    requested fabric through ``SynthesisService.place_route`` (cached
+    Implements one fabric of :func:`repro.fpga.emulate.table2_problem`
+    for ``(seed, grid)`` exactly as :func:`~repro.fpga.emulate.run_emulation`
+    does (workload cached as ``table2_workload``, placement and routing
     as ``place_route``), and returns the full placement/routing
     encoding plus a summary — the same artifact an offline ``repro
     table2`` run would have warmed.
     """
-    from repro.store.service import get_service
+    from repro.fpga import emulate
 
-    netlist, fabric, seed = _place_route_problem(params)
-    placement, routing = get_service().place_route(netlist, fabric, seed)
-    encoded = codecs.encode_place_route(placement, routing)
+    seed = check_int("param 'seed'", params.get("seed", 2))
+    grid = check_int("param 'grid'", params.get("grid", 6), 2, 64)
+    fabric_kind = params.get("fabric", "standard")
+    if fabric_kind not in ("standard", "cnfet"):
+        raise RequestError("param 'fabric' must be 'standard' or 'cnfet'")
+    partitions, standard, cnfet = emulate.table2_problem(seed, grid)
+    run = emulate.implement(partitions,
+                            cnfet if fabric_kind == "cnfet" else standard,
+                            seed)
+    encoded = codecs.encode_place_route(run.placement, run.routing)
     return {"place_route": encoded,
-            "summary": {"blocks": netlist.n_blocks(),
+            "summary": {"blocks": run.netlist.n_blocks(),
                         "nets": len(encoded["routing"]["routed"]),
-                        "wirelength": routing.total_wirelength,
-                        "overflow": len(routing.overflow)}}
+                        "wirelength": run.total_wirelength,
+                        "overflow": run.overflow_segments}}
 
 
 def op_yield_run(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -224,16 +194,12 @@ def op_yield_run(params: Dict[str, Any]) -> Dict[str, Any]:
         settings = YieldSettings(**settings_raw)
     except TypeError as exc:
         raise RequestError(f"bad yield settings: {exc}")
-    if settings.samples < 1 or settings.samples > 1_000_000:
+    if settings.samples > 1_000_000:
         raise RequestError("param 'samples' must be in 1..1000000")
-    try:
-        # estimate_yield already routes through the coalescing service
-        # (service.yield_run) — wrapping it again would deadlock on the
-        # same cache key.
-        report = estimate_yield(settings)
-    except (KeyError, ValueError) as exc:
-        raise RequestError(f"yield_run: {exc!r}")
-    return {"report": codecs.encode_yield_report(report)}
+    # estimate_yield already routes through the coalescing service
+    # (service.yield_run) — wrapping it again would deadlock on the
+    # same cache key.
+    return {"report": codecs.encode_yield_report(estimate_yield(settings))}
 
 
 def op_workload(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -245,38 +211,31 @@ def op_workload(params: Dict[str, Any]) -> Dict[str, Any]:
       minimized cover encodings plus the model digest;
     * ``"eval"`` — additionally check the compiled cover against the
       workload's oracle on an LFSR stream (``words``/``seed`` params)
-      and report the mismatch count;
+      through :func:`repro.workloads.oracle_check` and report the
+      mismatch count;
     * ``"curve"`` — run the accuracy/defect curve driver
       (:func:`repro.workloads.curves.run_curve`) with
       :class:`~repro.workloads.curves.CurveSettings` overrides passed
       under ``curve``; returns the store-served report.
     """
     from repro import workloads
-    from repro.errors import ReproInputError
 
     spec = _require(params, "spec", str)
     action = params.get("action", "build")
     if action not in ("build", "eval", "curve"):
         raise RequestError("param 'action' must be build/eval/curve")
-    try:
-        if action == "curve":
-            from repro.workloads.curves import CurveSettings, run_curve
-            overrides = params.get("curve", {})
-            if not isinstance(overrides, dict):
-                raise RequestError("param 'curve' must be an object")
-            for key in ("techs", "rates"):
-                if key in overrides:
-                    overrides[key] = tuple(overrides[key])
+    if action == "curve":
+        from repro.workloads.curves import CurveSettings, run_curve
+        overrides = params.get("curve", {})
+        if not isinstance(overrides, dict):
+            raise RequestError("param 'curve' must be an object")
+        try:
             settings = CurveSettings(spec=spec, **overrides)
-            return {"report": run_curve(settings)}
-        raw = workloads.raw_function(spec)
-        compiled = workloads.workload_function(spec)
-    except RequestError:
-        raise
-    except (ReproInputError, ValueError) as exc:
-        raise RequestError(str(exc))
-    except TypeError as exc:
-        raise RequestError(f"bad curve settings: {exc}")
+        except TypeError as exc:
+            raise RequestError(f"bad curve settings: {exc}")
+        return {"report": run_curve(settings)}
+    raw = workloads.raw_function(spec)
+    compiled = workloads.workload_function(spec)
     result = {
         "spec": workloads.strip_prefix(spec),
         "model_digest": workloads.model_digest(spec),
@@ -287,22 +246,11 @@ def op_workload(params: Dict[str, Any]) -> Dict[str, Any]:
         "cover": codecs.encode_cover(compiled.on_set),
     }
     if action == "eval":
-        from repro.store.service import get_service
-        from repro.testgen.lfsr import stream_spec
-
-        words = int(params.get("words", 64))
-        if not 1 <= words <= 1 << 16:
-            raise RequestError("param 'words' must be in 1..65536")
-        stream = stream_spec(max(2, compiled.n_inputs), words,
-                             seed=int(params.get("seed", 0)))
-        masks = get_service().evaluate_batch([compiled.on_set],
-                                             stream=stream)[0]
-        from repro.testgen.lfsr import stream_minterms
-        mismatches = sum(
-            1 for minterm, mask in zip(stream_minterms(stream), masks)
-            if mask != workloads.oracle_mask(spec, minterm))
-        result["eval"] = {"stream": stream, "vectors": words * 64,
-                          "mismatches": mismatches}
+        # serve's cap on the stream one request may ask for
+        words = check_int("param 'words'", params.get("words", 64), 1,
+                          1 << 16)
+        result["eval"] = workloads.oracle_check(spec, words,
+                                                params.get("seed", 0))
     return result
 
 
@@ -323,23 +271,23 @@ def dispatch(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
     Every op accepts an optional ``tech`` param (registry name or
     descriptor-file path): the handler runs under
     :func:`repro.tech.use`, so model constants *and* artifact keys
-    resolve for that technology.  Unknown specs are ``bad_request``.
+    resolve for that technology.  A :class:`ReproInputError` raised
+    anywhere below an op (bad settings, unknown spec or technology)
+    becomes a :exc:`RequestError`, that is a ``bad_request`` reply.
     """
     handler = OPS.get(op)
     if handler is None:
         raise RequestError(f"no worker op {op!r}")
     tech_spec = params.get("tech")
-    if tech_spec is None:
-        return handler(params)
-    if not isinstance(tech_spec, str):
-        raise RequestError("param 'tech' must be a string (registry name "
-                           "or descriptor path)")
-    from repro import tech as tech_mod
-    from repro.errors import ReproInputError
-    params = {k: v for k, v in params.items() if k != "tech"}
     try:
-        with tech_mod.use(tech_spec):
+        if tech_spec is None:
             return handler(params)
+        if not isinstance(tech_spec, str):
+            raise RequestError("param 'tech' must be a string (registry "
+                               "name or descriptor path)")
+        from repro import tech as tech_mod
+        with tech_mod.use(tech_spec):
+            return handler({k: v for k, v in params.items() if k != "tech"})
     except ReproInputError as exc:
         raise RequestError(str(exc))
 
@@ -366,6 +314,6 @@ def dispatch_checked(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
     return {"result": result, "digest": digest}
 
 
-__all__ = ["OPS", "PLACE_ROUTE_DEFAULTS", "RequestError", "dispatch",
+__all__ = ["OPS", "RequestError", "dispatch",
            "dispatch_checked", "op_evaluate_batch", "op_evaluate_flush",
            "op_minimize", "op_place_route", "op_workload", "op_yield_run"]

@@ -45,13 +45,18 @@ from repro import faults, perf
 from repro.serve import protocol
 from repro.serve.batcher import (BatchCollector, DEFAULT_LINGER_US,
                                  DEFAULT_MAX_BATCH)
-from repro.serve.ops import OPS, RequestError
+from repro.serve.ops import OPS, RequestError, _minterm_list, _require
 from repro.serve.protocol import ProtocolError
 from repro.serve.workers import DegradedError, WorkerBridge
 
 #: Default admission budget: requests admitted concurrently before
 #: load-shedding begins.
 DEFAULT_QUEUE_LIMIT = 256
+
+#: Every op a client may send: the server's own three plus the worker
+#: ops, except the batcher's internal ``evaluate_flush``.
+PUBLIC_OPS = frozenset({"ping", "stats", "evaluate"}
+                       | (OPS.keys() - {"evaluate_flush"}))
 
 
 def _hard_reset(writer: asyncio.StreamWriter) -> None:
@@ -214,8 +219,7 @@ class SynthesisServer:
             elapsed = asyncio.get_running_loop().time() - start
             # bound the timer-name space: arbitrary client op strings
             # must not grow the perf tables without limit
-            label = op if (op in OPS or op in ("ping", "stats", "evaluate")) \
-                else "unknown"
+            label = op if op in PUBLIC_OPS else "unknown"
             perf.observe(f"serve.request.{label}", elapsed)
             self._active -= 1
             if self._active == 0:
@@ -223,33 +227,20 @@ class SynthesisServer:
         return response
 
     async def _dispatch(self, op: str, params: Dict[str, Any]) -> Any:
+        if op not in PUBLIC_OPS:
+            raise ProtocolError(protocol.ERR_UNKNOWN_OP,
+                                f"unknown op {op!r}")
         if op == "ping":
             from repro import kernels
             return {"pong": True, "backend": kernels.backend(),
                     "pid": os.getpid()}
         if op == "stats":
             return self._stats()
-        if op == "evaluate":
-            return await self._evaluate(params)
-        if op in OPS and op != "evaluate_flush":
-            return await self.executor.run(op, params)
-        raise ProtocolError(protocol.ERR_UNKNOWN_OP,
-                            f"unknown op {op!r}")
-
-    async def _evaluate(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """The micro-batched single-cover hot path."""
-        cover = params.get("cover")
-        if not isinstance(cover, dict):
-            raise RequestError("param 'cover' must be a cover encoding")
-        raw = params.get("minterms")
-        if not isinstance(raw, list) or not raw:
-            raise RequestError("param 'minterms' must be a non-empty list")
-        try:
-            minterms = [int(m) for m in raw]
-        except (TypeError, ValueError):
-            raise RequestError("param 'minterms' must be a list of ints")
-        masks = await self.batcher.submit(cover, minterms)
-        return {"masks": masks}
+        if op == "evaluate":  # the micro-batched single-cover hot path
+            cover = _require(params, "cover", dict)
+            masks = await self.batcher.submit(cover, _minterm_list(params))
+            return {"masks": masks}
+        return await self.executor.run(op, params)
 
     def _stats(self) -> Dict[str, Any]:
         from repro.store.service import get_service

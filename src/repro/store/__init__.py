@@ -27,9 +27,8 @@ Opt-out: set ``REPRO_CACHE=off``; relocate with ``REPRO_CACHE_DIR``.
 from repro.store.keys import (SCHEMA_VERSIONS, artifact_key,
                               canonical_bytes, digest_of, schema_version)
 from repro.store.store import (ArtifactStore, CACHE_DIR_ENV, CACHE_DISK_ENV,
-                               CACHE_ENV, CACHE_MEM_ENV, CACHE_QUARANTINE_ENV,
-                               cache_enabled, default_disk_bytes,
-                               default_quarantine_entries, default_root)
+                               CACHE_ENV, cache_enabled, default_disk_bytes,
+                               default_root)
 from repro.store.service import (SynthesisService, get_service,
                                  reset_service)
 
@@ -38,15 +37,12 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_DISK_ENV",
     "CACHE_ENV",
-    "CACHE_MEM_ENV",
-    "CACHE_QUARANTINE_ENV",
     "SCHEMA_VERSIONS",
     "SynthesisService",
     "artifact_key",
     "cache_enabled",
     "canonical_bytes",
     "default_disk_bytes",
-    "default_quarantine_entries",
     "default_root",
     "digest_of",
     "get_service",

@@ -54,19 +54,14 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Environment variable disabling the cache entirely ("off"/"0"/"no").
 CACHE_ENV = "REPRO_CACHE"
-#: Environment variable bounding the in-memory LRU tier (entry count).
-CACHE_MEM_ENV = "REPRO_CACHE_MEM"
 #: Environment variable capping the disk tier (total object bytes).
 #: Unset or empty means unbounded; the janitor (:meth:`ArtifactStore.gc`)
 #: evicts oldest-access-first down to the cap.
 CACHE_DISK_ENV = "REPRO_CACHE_DISK_BYTES"
-#: Environment variable capping the quarantine directory (entry count).
-#: Quarantine keeps corrupt files as evidence, but evidence must not
-#: grow without bound: beyond the cap the *oldest* quarantined files
-#: are dropped.
-CACHE_QUARANTINE_ENV = "REPRO_CACHE_QUARANTINE"
 
-#: Default quarantine capacity (entries).
+#: Default quarantine capacity (entries).  Quarantine keeps corrupt
+#: files as evidence, but evidence must not grow without bound: beyond
+#: the cap the *oldest* quarantined files are dropped.
 DEFAULT_QUARANTINE_ENTRIES = 64
 
 #: Publication temp files older than this are presumed orphans of a
@@ -97,18 +92,6 @@ def _null_context() -> Iterator[bool]:
     yield False
 
 
-def default_memory_entries() -> int:
-    """The LRU capacity: ``REPRO_CACHE_MEM`` or the default."""
-    raw = os.environ.get(CACHE_MEM_ENV, "").strip()
-    if not raw:
-        return DEFAULT_MEMORY_ENTRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{CACHE_MEM_ENV}={raw!r} is not an integer")
-    return max(0, value)
-
-
 def default_disk_bytes() -> Optional[int]:
     """The disk-tier cap: ``REPRO_CACHE_DISK_BYTES`` or ``None``
     (unbounded)."""
@@ -122,18 +105,6 @@ def default_disk_bytes() -> Optional[int]:
     return max(0, value)
 
 
-def default_quarantine_entries() -> int:
-    """The quarantine cap: ``REPRO_CACHE_QUARANTINE`` or the default."""
-    raw = os.environ.get(CACHE_QUARANTINE_ENV, "").strip()
-    if not raw:
-        return DEFAULT_QUARANTINE_ENTRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{CACHE_QUARANTINE_ENV}={raw!r} is not an integer")
-    return max(0, value)
-
-
 class ArtifactStore:
     """Content-addressed JSON artifact cache (disk + bounded memory LRU).
 
@@ -142,11 +113,14 @@ class ArtifactStore:
     root:
         Store directory; created lazily on first write.
     memory_entries:
-        In-memory LRU capacity (0 disables the memory tier).
+        In-memory LRU capacity (default 128; 0 disables the memory
+        tier).
     disk_bytes:
         Disk-tier byte cap (``None`` = ``REPRO_CACHE_DISK_BYTES`` or
         unbounded).  When set, every :meth:`put` opportunistically runs
         the :meth:`gc` janitor.
+    quarantine_entries:
+        Quarantine directory cap (default 64).
     """
 
     def __init__(self, root: Optional[str] = None,
@@ -154,14 +128,13 @@ class ArtifactStore:
                  disk_bytes: Optional[int] = None,
                  quarantine_entries: Optional[int] = None):
         self.root = root if root is not None else default_root()
-        if memory_entries is None:
-            memory_entries = default_memory_entries()
-        self.memory_entries = memory_entries
+        self.memory_entries = (memory_entries if memory_entries is not None
+                               else DEFAULT_MEMORY_ENTRIES)
         self.disk_bytes = (disk_bytes if disk_bytes is not None
                            else default_disk_bytes())
         self.quarantine_entries = (quarantine_entries
                                    if quarantine_entries is not None
-                                   else default_quarantine_entries())
+                                   else DEFAULT_QUARANTINE_ENTRIES)
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         self.counters: Dict[str, int] = {
             "hit_mem": 0, "hit_disk": 0, "miss": 0, "corrupt": 0,
@@ -345,9 +318,9 @@ class ArtifactStore:
     def _quarantine(self, key: str, reason: str) -> None:
         """Move a corrupt entry aside (evidence, and future misses).
 
-        The quarantine directory is capped (``REPRO_CACHE_QUARANTINE``
-        entries): evidence beyond the cap is dropped oldest-first so a
-        flaky disk cannot grow it without bound.
+        The quarantine directory is capped (``quarantine_entries``):
+        evidence beyond the cap is dropped oldest-first so a flaky disk
+        cannot grow it without bound.
         """
         destination = self._quarantine_path(key, reason)
         os.makedirs(os.path.dirname(destination), exist_ok=True)
@@ -647,8 +620,6 @@ class ArtifactStore:
 
 
 __all__ = ["ArtifactStore", "CACHE_DIR_ENV", "CACHE_DISK_ENV", "CACHE_ENV",
-           "CACHE_MEM_ENV", "CACHE_QUARANTINE_ENV", "DEFAULT_MEMORY_ENTRIES",
-           "DEFAULT_QUARANTINE_ENTRIES", "DEFAULT_ROOT", "ORPHAN_TMP_AGE_S",
-           "artifact_key", "cache_enabled", "default_disk_bytes",
-           "default_memory_entries", "default_quarantine_entries",
-           "default_root"]
+           "DEFAULT_MEMORY_ENTRIES", "DEFAULT_QUARANTINE_ENTRIES",
+           "DEFAULT_ROOT", "ORPHAN_TMP_AGE_S", "artifact_key",
+           "cache_enabled", "default_disk_bytes", "default_root"]

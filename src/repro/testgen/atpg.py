@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.mapping.gnor_map import GNORPlaneConfig
 from repro.testgen.faults import Fault, FaultSimulator, FaultSite, enumerate_faults

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.gnor import InputConfig
 from repro.mapping.gnor_map import GNORPlaneConfig

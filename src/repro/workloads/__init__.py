@@ -37,9 +37,9 @@ layer accept workload cells wherever they accept ``max46``.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import ReproInputError
+from repro.errors import ReproInputError, check_int
 from repro.logic.function import BooleanFunction
 from repro.workloads import arith, classify, datasets
 
@@ -142,6 +142,25 @@ def oracle_mask(spec: str, minterm: int) -> int:
     return arith.ORACLES[info["family"]](info["width"], minterm)
 
 
+def oracle_check(spec: str, words: int, seed: int = 0) -> dict:
+    """``{stream, vectors, mismatches}``: the compiled cover of ``spec``
+    against :func:`oracle_mask` on ``words`` 64-vector words of a seeded
+    LFSR stream (``repro workload eval`` and the serve ``workload`` op's
+    ``eval`` action).  ``words`` must be an integer >= 1."""
+    from repro.store.service import get_service
+    from repro.testgen.lfsr import stream_minterms, stream_spec
+
+    check_int("words", words, 1)
+    check_int("seed", seed)
+    compiled = workload_function(spec)
+    stream = stream_spec(max(2, compiled.n_inputs), words, seed=seed)
+    masks = get_service().evaluate_batch([compiled.on_set], stream=stream)[0]
+    mismatches = sum(1 for minterm, mask in zip(stream_minterms(stream), masks)
+                     if mask != oracle_mask(spec, minterm))
+    return {"stream": stream, "vectors": words * 64,
+            "mismatches": mismatches}
+
+
 #: Per-process memos: raw functions, compiled functions, trained models.
 _RAW_CACHE: Dict[str, BooleanFunction] = {}
 _COMPILED_CACHE: Dict[Tuple[str, str, str], BooleanFunction] = {}
@@ -238,6 +257,6 @@ def clear_caches() -> None:
 
 __all__ = ["ALGORITHMS", "DEFAULT_WORKLOADS", "PREFIX", "build_workload",
            "clear_caches", "list_workloads",
-           "model_digest", "oracle_mask", "parse_workload",
+           "model_digest", "oracle_check", "oracle_mask", "parse_workload",
            "raw_function", "strip_prefix", "train_model",
            "workload_function"]

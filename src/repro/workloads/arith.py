@@ -35,8 +35,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.logic.cover import Cover
-from repro.logic.cube import (BIT_DASH, BIT_ONE, BIT_ZERO, Cube,
-                              full_input_mask)
+from repro.logic.cube import BIT_ONE, BIT_ZERO, Cube, full_input_mask
 from repro.logic.function import BooleanFunction
 
 

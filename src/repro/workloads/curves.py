@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import perf
 from repro import workloads
+from repro.errors import ReproInputError, check_int
 from repro.workloads import classify, datasets
 
 #: Curve-report schema identifier + version (bump on shape changes).
@@ -53,6 +54,10 @@ CURVE_VERSION = 1
 @dataclass(frozen=True)
 class CurveSettings:
     """Everything that defines one accuracy/defect curve run.
+
+    Construction validates every field (raising
+    :class:`~repro.errors.ReproInputError`) and turns ``techs`` and
+    ``rates`` given as lists, as in a serve request, into tuples.
 
     Attributes
     ----------
@@ -92,18 +97,24 @@ class CurveSettings:
     def __post_init__(self):
         object.__setattr__(self, "spec", workloads.strip_prefix(self.spec))
         workloads.parse_workload(self.spec)  # fail fast on bad specs
-        if not self.techs:
-            raise ValueError("need at least one technology")
-        if not self.rates:
-            raise ValueError("need at least one defect-rate point")
-        if any(not 0.0 <= rate < 1.0 for rate in self.rates):
-            raise ValueError("defect rates must lie in [0, 1)")
-        if not 0.0 <= self.stuck_on_ratio <= 1.0:
-            raise ValueError("stuck_on_ratio must lie in [0, 1]")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.stream_words < 1:
-            raise ValueError("stream_words must be >= 1")
+        for name in ("techs", "rates"):  # lists (JSON) become tuples
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ReproInputError(f"{name} must be a list")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.techs or not all(isinstance(t, str) for t in self.techs):
+            raise ReproInputError("need at least one technology, each a "
+                                  "registry name or descriptor path")
+        if not self.rates or not all(_is_fraction(rate) and rate < 1.0
+                                     for rate in self.rates):
+            raise ReproInputError("need at least one defect-rate point, "
+                                  "each in [0, 1)")
+        if not _is_fraction(self.stuck_on_ratio):
+            raise ReproInputError("stuck_on_ratio must lie in [0, 1]")
+        check_int("samples", self.samples, 1)
+        check_int("seed", self.seed)
+        check_int("stream_words", self.stream_words, 1)
+        check_int("spare_rows", self.spare_rows, 0)
+        check_int("spare_cols", self.spare_cols, 0)
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -117,6 +128,12 @@ class CurveSettings:
             "spare_rows": self.spare_rows,
             "spare_cols": self.spare_cols,
         }
+
+
+def _is_fraction(value: object) -> bool:
+    """A real number (not a bool) in [0, 1]."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0.0 <= value <= 1.0)
 
 
 def _agreement(masks_a: List[int], masks_b: List[int]) -> float:

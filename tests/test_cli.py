@@ -224,3 +224,27 @@ class TestAtpgCommand:
         vectors = out_path.read_text().splitlines()
         assert vectors
         assert all(len(v) == 4 and set(v) <= {"0", "1"} for v in vectors)
+
+
+class TestBadInput:
+    """Bad settings exit 2 with an ``error:`` line, before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["yield", "--benchmark", "max46", "--samples", "0"],
+        ["yield", "--benchmark", "max46", "--p-stuck-off", "2.0"],
+        ["yield", "--benchmark", "max46", "--spare-rows", "-1"],
+        ["yield", "--benchmark", "max46", "--rate", "1.5"],
+        ["yield", "--benchmark", "max46", "--p-stuck-on", "-0.0005"],
+        ["yield", "--benchmark", "nope"],
+        ["characterize", "--benchmark", "syn_small", "--yield-samples", "0"],
+        ["characterize", "--benchmark", "syn_small", "--spares=-1,0"],
+        ["characterize", "--benchmark", "syn_small", "--tech", "nope"],
+        ["workload", "eval", "add2", "--words", "0"],
+        ["workload", "curve", "add2", "--samples", "0"],
+    ])
+    def test_exits_2_with_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err

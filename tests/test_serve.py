@@ -177,24 +177,25 @@ class TestServedEqualsDirect:
             {"report": codecs.encode_yield_report(direct)})
 
     def test_place_route_matches_direct(self):
-        from repro.serve.ops import _place_route_problem
-        params = {"seed": 3, "grid": 4, "fabric": "cnfet"}
+        from repro.fpga.emulate import run_emulation
 
         async def scenario():
             server = inline_server()
             client, task = await pipe_client(server)
-            result = await client.request("place_route", params)
+            results = [await client.request("place_route",
+                                            {"seed": 3, "grid": 4,
+                                             "fabric": fabric})
+                       for fabric in ("standard", "cnfet")]
             await client.close()
             await server.drain()
-            return result
+            return results
 
         served = run(scenario())
-        netlist, fabric, seed = _place_route_problem(params)
-        placement, routing = get_service().place_route(netlist, fabric,
-                                                       seed)
-        assert canon(served["place_route"]) == canon(
-            codecs.encode_place_route(placement, routing))
-        assert served["summary"]["wirelength"] == routing.total_wirelength
+        report = run_emulation(seed=3, grid_side=4)
+        for reply, direct in zip(served, (report.standard, report.cnfet)):
+            assert canon(reply["place_route"]) == canon(
+                codecs.encode_place_route(direct.placement, direct.routing))
+            assert reply["summary"]["wirelength"] == direct.total_wirelength
 
     def test_warm_pool_bridge_serves_identical_payloads(self):
         pool = WarmPool(jobs=2)
@@ -226,6 +227,53 @@ class TestServedEqualsDirect:
         direct_cover = service.minimize(BooleanFunction(function.on_set))
         assert canon(mini) == canon(
             {"cover": codecs.encode_cover(direct_cover)})
+
+
+# ----------------------------------------------------------------------
+# bad input: bad_request, checked before any work
+# ----------------------------------------------------------------------
+class TestBadRequests:
+    @pytest.mark.parametrize("op,params", [
+        ("yield_run", {"settings": {"benchmark": "nope", "samples": 10}}),
+        ("yield_run", {"settings": {"benchmark": "max46", "samples": "10"}}),
+        ("yield_run", {"settings": {"benchmark": "max46", "samples": 10,
+                                    "spare_rows": -1}}),
+        ("yield_run", {"settings": {"benchmark": "max46", "samples": 10,
+                                    "seed": "x"}}),
+        ("place_route", {"seed": "abc"}),
+        ("place_route", {"grid": None}),
+        ("workload", {"spec": "add2", "action": "eval", "words": "many"}),
+        ("evaluate", {"cover": XOR_ENC, "minterms": ["x"]}),
+        ("evaluate", {"cover": [], "minterms": [1]}),
+    ])
+    def test_replies_bad_request_without_running(self, op, params,
+                                                 monkeypatch):
+        import repro.runner
+
+        def no_runner(*_args, **_kwargs):  # pragma: no cover - the bug
+            raise AssertionError("bad settings reached the runner")
+
+        monkeypatch.setattr(repro.runner, "run_tasks", no_runner)
+
+        async def scenario():
+            server = inline_server()
+            client, task = await pipe_client(server)
+            with pytest.raises(ServeError) as excinfo:
+                await client.request(op, params)
+            await client.close()
+            await server.drain()
+            return excinfo.value.code
+
+        assert run(scenario()) == "bad_request"
+
+    def test_workload_op_leaves_params_unchanged(self):
+        import copy
+        params = {"spec": "pop2", "action": "curve",
+                  "curve": {"techs": ["cnfet"], "rates": [0.002],
+                            "samples": 4, "stream_words": 2}}
+        before = copy.deepcopy(params)
+        dispatch("workload", params)
+        assert params == before
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +362,25 @@ class TestBatchTriggers:
         assert isinstance(second, ServeError)
         assert second.code == "bad_request"
         assert third == {"masks": [1]}
+
+    def test_bad_minterm_fails_only_its_own_request(self):
+        # refused before batching: a minterm outside uint64 used to
+        # fail the whole arena pass, siblings included
+        async def scenario():
+            server = inline_server(max_batch=2, linger_us=30_000_000)
+            client, task = await pipe_client(server)
+            results = await asyncio.gather(*[
+                client.request("evaluate", {"cover": XOR_ENC,
+                                            "minterms": minterms})
+                for minterms in ([1], [-1], [2**64], [2])],
+                return_exceptions=True)
+            await client.close()
+            await server.drain()
+            return results
+
+        good1, low, high, good2 = run(scenario())
+        assert good1 == {"masks": [1]} and good2 == {"masks": [1]}
+        assert low.code == high.code == "bad_request"
 
 
 # ----------------------------------------------------------------------
