@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.espresso.coverage import coverage_table
 from repro.logic.cover import Cover
-from repro.logic.tautology import covers_cube
 
 
 def essential_primes(cover: Cover, dc_set: Optional[Cover] = None) \
@@ -20,34 +20,14 @@ def essential_primes(cover: Cover, dc_set: Optional[Cover] = None) \
 
     ``cover`` must consist of primes (run :func:`repro.espresso.expand`
     first); a prime is flagged essential when the rest of the cover plus
-    the DC-set fails to cover it.  On the kernel backend the cover +
-    DC-set is packed once and each "rest" probe is a masked matrix
-    cofactor (same machinery as :mod:`repro.espresso.irredundant`).
+    the DC-set fails to cover it.  One
+    :func:`~repro.espresso.coverage.coverage_table` answers that for
+    every prime at once.
     """
     if dc_set is None:
         dc_set = Cover.empty(cover.n_inputs, cover.n_outputs)
 
-    cubes = list(cover.cubes)
-    from repro.espresso.irredundant import _probe_matrix, _rest_covers_cube
-    matrix = _probe_matrix(cubes, dc_set, cover.n_inputs, cover.n_outputs)
-    if matrix is not None:
-        import numpy as np
-        drop = np.zeros(matrix.n_cubes, dtype=bool)
-
-    essential = Cover(cover.n_inputs, cover.n_outputs)
-    remainder = Cover(cover.n_inputs, cover.n_outputs)
-    for i, cube in enumerate(cubes):
-        if matrix is not None:
-            drop[:] = False
-            drop[i] = True
-            covered = _rest_covers_cube(matrix, drop, cube,
-                                        cover.n_inputs, cover.n_outputs)
-        else:
-            rest = Cover(cover.n_inputs, cover.n_outputs,
-                         cubes[:i] + cubes[i + 1:] + list(dc_set.cubes))
-            covered = covers_cube(rest, cube)
-        if covered:
-            remainder.append(cube)
-        else:
-            essential.append(cube)
-    return essential, remainder
+    n, m, cubes = cover.n_inputs, cover.n_outputs, list(cover.cubes)
+    covered = coverage_table(cubes, dc_set, n, m).covered_by_rest()
+    return (Cover(n, m, [c for c, hit in zip(cubes, covered) if not hit]),
+            Cover(n, m, [c for c, hit in zip(cubes, covered) if hit]))

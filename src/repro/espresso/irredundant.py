@@ -7,42 +7,19 @@ and deletes any cube still covered by the remaining cover plus the
 DC-set.  The result contains no redundant cube, though like Espresso's
 heuristic it is not guaranteed to be a *minimum* irredundant subcover.
 
-Every probe asks "does the cover minus cube *i* still cover cube *i*",
-i.e. one cofactor + tautology test per cube.  On the kernel backend
-the cover + DC-set is packed once into a
-:class:`~repro.kernels.cubematrix.CubeMatrix` and each probe cofactors
-the whole matrix with a row-drop mask, instead of rebuilding an
-(n-1)-cube cover object per probe; the cofactored rows and their order
-are identical to the scalar construction.
+Every probe asks "does the cover minus cube *i* still cover cube *i*";
+one :func:`~repro.espresso.coverage.coverage_table` answers them all,
+on the whole truth table when it is small enough and through
+``covers_cube`` otherwise, with identical decisions either way.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.espresso.coverage import coverage_table
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
-from repro.logic.tautology import covers_cube, is_tautology
-
-
-def _probe_matrix(cubes: List[Cube], dc_set: Cover,
-                  n_inputs: int, n_outputs: int):
-    """Pack ``cubes + dc_set`` for masked-cofactor probes, or ``None``
-    when the matrix engine does not apply."""
-    pool = Cover(n_inputs, n_outputs, cubes + list(dc_set.cubes))
-    return pool._cube_matrix()
-
-
-def _rest_covers_cube(matrix, drop, cube: Cube,
-                      n_inputs: int, n_outputs: int) -> bool:
-    """``covers_cube`` of the packed pool minus the rows flagged in
-    ``drop`` (a boolean row mask over the matrix)."""
-    from repro.kernels import cubematrix as cm
-    pairs = cm.cofactor_pairs(matrix, cube.inputs, cube.outputs, drop=drop)
-    cofactored = Cover(n_inputs, n_outputs,
-                       [Cube(n_inputs, inp, out, n_outputs)
-                        for inp, out in pairs])
-    return is_tautology(cofactored)
 
 
 def irredundant(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
@@ -54,48 +31,18 @@ def irredundant(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
     if len(cubes) <= 1:
         return Cover(cover.n_inputs, cover.n_outputs, cubes)
 
-    matrix = _probe_matrix(cubes, dc_set, cover.n_inputs, cover.n_outputs)
-    if matrix is not None:
-        import numpy as np
-        drop = np.zeros(matrix.n_cubes, dtype=bool)
-
+    table = coverage_table(cubes, dc_set, cover.n_inputs, cover.n_outputs)
     # Relatively essential cubes can never be removed; identify them once
-    # so the sequential pass below can skip their (expensive) re-tests.
-    essential_flags = []
-    for i, cube in enumerate(cubes):
-        if matrix is not None:
-            drop[:] = False
-            drop[i] = True
-            covered = _rest_covers_cube(matrix, drop, cube,
-                                        cover.n_inputs, cover.n_outputs)
-        else:
-            rest = Cover(cover.n_inputs, cover.n_outputs,
-                         cubes[:i] + cubes[i + 1:] + list(dc_set.cubes))
-            covered = covers_cube(rest, cube)
-        essential_flags.append(not covered)
+    # so the sequential pass below can skip their re-tests.
+    essential_flags = [not covered for covered in table.covered_by_rest()]
 
     # Sequentially remove redundant cubes, smallest first so that large
     # cubes survive (fewer literals on the PLA rows).
     order = sorted(range(len(cubes)), key=lambda i: cubes[i].size())
     removed = [False] * len(cubes)
     for i in order:
-        if essential_flags[i] or removed[i]:
-            continue
-        if matrix is not None:
-            drop[:] = False
-            drop[i] = True
-            for j in range(len(cubes)):
-                if removed[j]:
-                    drop[j] = True
-            covered = _rest_covers_cube(matrix, drop, cubes[i],
-                                        cover.n_inputs, cover.n_outputs)
-        else:
-            rest_cubes = [cubes[j] for j in range(len(cubes))
-                          if j != i and not removed[j]]
-            rest = Cover(cover.n_inputs, cover.n_outputs,
-                         rest_cubes + list(dc_set.cubes))
-            covered = covers_cube(rest, cubes[i])
-        if covered:
+        if not essential_flags[i] and table.covered(i):
+            table.remove(i)
             removed[i] = True
 
     kept = [cubes[i] for i in range(len(cubes)) if not removed[i]]

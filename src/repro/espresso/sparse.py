@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.espresso.coverage import coverage_table
 from repro.espresso.expand import expand_cube
 from repro.espresso.irredundant import irredundant
 from repro.espresso.reduce import reduce_cube
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
-from repro.logic.tautology import covers_cube
 
 
 def make_sparse(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
@@ -36,22 +36,19 @@ def make_sparse(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
         dc_set = Cover.empty(cover.n_inputs, cover.n_outputs)
 
     cubes: List[Cube] = list(cover.cubes)
+    table = None  # built at the first multi-output cube
     for i, cube in enumerate(cubes):
         outputs = cube.outputs
         if bin(outputs).count("1") <= 1:
             continue
+        if table is None:
+            table = coverage_table(cubes, dc_set, cover.n_inputs,
+                                   cover.n_outputs)
         for k in list(cube.output_indices()):
             if bin(outputs).count("1") <= 1:
                 break  # keep the cube alive on at least one output
-            slice_cube = Cube(cube.n_inputs, cube.inputs, 1 << k,
-                              cube.n_outputs)
-            rest_cubes = [cubes[j] if j != i
-                          else Cube(cube.n_inputs, cube.inputs,
-                                    outputs & ~(1 << k), cube.n_outputs)
-                          for j in range(len(cubes))]
-            rest = Cover(cover.n_inputs, cover.n_outputs,
-                         rest_cubes + list(dc_set.cubes))
-            if covers_cube(rest, slice_cube):
+            if table.slice_covered(i, k):
+                table.drop_output(i, k)
                 outputs &= ~(1 << k)
         cubes[i] = Cube(cube.n_inputs, cube.inputs, outputs, cube.n_outputs)
 

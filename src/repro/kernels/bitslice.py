@@ -159,6 +159,30 @@ def exhaustive_slices(n_inputs: int, word_lo: int, word_hi: int) -> np.ndarray:
     return x[:n_inputs]
 
 
+def exhaustive_accepts(cubes: Sequence, n_inputs: int) -> np.ndarray:
+    """``cube_accepts(pack, exhaustive_slices(n_inputs, 0, n_words))``
+    of ``cubes`` (``n_words = max(1, 2**n_inputs // 64)``) in closed
+    form: variables 0..5 give one within-word pattern per cube, and
+    variables 6 and up select the words where
+    ``(word_index & care) == value``."""
+    n_words = max(1, (1 << n_inputs) // WORD)
+    masks = np.array([cube.inputs for cube in cubes], dtype=np.uint64)
+    fields = (masks[:, None] >> 2 * np.arange(n_inputs, dtype=np.uint64)) \
+        & np.uint64(0b11)
+    low, patterns = fields[:, :6], _LOW_PATTERNS[:min(n_inputs, 6)]
+    pattern = np.bitwise_and.reduce(np.where(
+        low == BIT_ONE, patterns,
+        np.where(low == BIT_ZERO, ~patterns, _ALL_ONES)), axis=1)
+    pattern[(fields == 0).any(axis=1)] = 0
+    high = fields[:, 6:]
+    weights = np.uint64(1) << np.arange(high.shape[1], dtype=np.uint64)
+    care = ((high != 0b11) * weights).sum(axis=1, dtype=np.uint64)
+    value = ((high == BIT_ONE) * weights).sum(axis=1, dtype=np.uint64)
+    index = np.arange(n_words, dtype=np.uint64)
+    hit = (index[None, :] & care[:, None]) == value[:, None]
+    return np.where(hit, pattern[:, None], np.uint64(0))
+
+
 def pack_minterms(minterms: Sequence[int], n_inputs: int) -> np.ndarray:
     """Bit-slice an arbitrary minterm batch into variable words.
 

@@ -4,7 +4,7 @@ The bit-sliced kernels of :mod:`repro.kernels.bitslice` accelerate
 *evaluation* (many minterms against one cover).  The minimization
 pipeline is dominated by a different shape of work — *cube algebra*
 over whole covers: EXPAND tests every candidate raise against every
-OFF-set cube, IRREDUNDANT and REDUCE cofactor the cover cube by cube,
+OFF-set cube, REDUCE and tautology cofactor the cover cube by cube,
 and single-cube containment scans are quadratic.  This module gives
 those loops a matrix form.
 
@@ -278,20 +278,12 @@ def cofactor_rows(m: CubeMatrix, inputs: int, outputs: int) \
     return keep, words, outs
 
 
-def cofactor_pairs(m: CubeMatrix, inputs: int, outputs: int,
-                   drop: Optional[np.ndarray] = None) -> List[Tuple[int, int]]:
+def cofactor_pairs(m: CubeMatrix, inputs: int,
+                   outputs: int) -> List[Tuple[int, int]]:
     """Cofactor every row and return the surviving ``(inputs, outputs)``
     mask pairs as Python ints, in row order (the :class:`Cover`-facing
-    form of :func:`cofactor_rows`).
-
-    ``drop``, when given, is a boolean row mask excluding rows *before*
-    cofactoring — IRREDUNDANT and the essential split cofactor "the
-    cover minus cube i" for every ``i``, and the mask lets them reuse
-    one packed matrix instead of rebuilding a cover per probe.
-    """
+    form of :func:`cofactor_rows`)."""
     keep, words, outs = cofactor_rows(m, inputs, outputs)
-    if drop is not None:
-        keep &= ~drop
     idx = np.flatnonzero(keep)
     if words.shape[1] == 1:
         col = words[:, 0]

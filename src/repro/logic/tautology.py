@@ -56,10 +56,9 @@ _KERNEL_TAUT_MIN_CUBES = 8
 #: (input count + the *set* of non-empty input masks — tautology is
 #: order- and duplicate-insensitive).  Only consulted on the kernel
 #: backend, so the scalar path stays a pure, memo-free oracle for the
-#: differential tests.  The Espresso loop re-tests the same cofactored
-#: covers many times (IRREDUNDANT and the essential split both probe
-#: ``covers_cube`` on near-identical remainders), which is where the
-#: hits come from.
+#: differential tests.  Hits come from covers re-tested unchanged, as
+#: by the per-cube ``covers_cube`` probes of covers too large for
+#: :mod:`repro.espresso.coverage`'s truth table.
 _TAUT_MEMO: "OrderedDict" = OrderedDict()
 #: Verdicts kept in the LRU memo (bounds memory).  Eviction is
 #: least-recently-used, one entry at a time — the old clear-at-limit

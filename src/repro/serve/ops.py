@@ -37,6 +37,12 @@ class RequestError(ValueError):
     """Client-side parameter error (becomes a ``bad_request`` reply)."""
 
 
+#: Most output masks one ``evaluate_batch`` reply may hold (covers x
+#: vectors).  A mask is at most 22 bytes of JSON, so the reply always
+#: fits the client's ``protocol.MAX_LINE_BYTES`` (32 MiB) line.
+MAX_REPLY_MASKS = 1 << 20
+
+
 def _require(params: Dict[str, Any], field: str, kind: type) -> Any:
     value = params.get(field)
     if not isinstance(value, kind):
@@ -146,14 +152,34 @@ def op_evaluate_batch(params: Dict[str, Any]) -> Dict[str, Any]:
             raise RequestError("param 'stream' must be an object")
         if "minterms" in params:
             raise RequestError("pass exactly one of minterms/stream")
+        vectors = _stream_size(stream)
     else:
         minterms = _minterm_list(params)
+        vectors = len(minterms)
+    if len(covers) * vectors > MAX_REPLY_MASKS:
+        raise RequestError(f"evaluate_batch: {len(covers)} covers x "
+                           f"{vectors} vectors exceeds {MAX_REPLY_MASKS} "
+                           f"masks per reply")
     try:
         masks = get_service().evaluate_batch(covers, minterms=minterms,
                                              stream=stream)
     except (KeyError, TypeError, ValueError) as exc:
         raise RequestError(f"evaluate_batch: {exc!r}")
     return {"masks": [[int(m) for m in row] for row in masks]}
+
+
+def _stream_size(stream: Dict[str, Any]) -> int:
+    """The vectors a stream spec expands to, without expanding it."""
+    if stream.get("kind") == "dataset":
+        from repro.testgen import lfsr
+        repeat = check_int("param 'stream.repeat'", stream.get("repeat", 1),
+                           1)
+        try:
+            rows = lfsr.stream_minterms(dict(stream, repeat=1))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RequestError(f"evaluate_batch: {exc!r}")
+        return repeat * len(rows)
+    return 64 * check_int("param 'stream.words'", stream.get("words"), 1)
 
 
 def op_place_route(params: Dict[str, Any]) -> Dict[str, Any]:

@@ -198,21 +198,6 @@ class TestAlgebra:
                 assert keep[j]
                 assert row_cube(matrix, words[j], outs[j]) == scalar
 
-    @settings(max_examples=30, deadline=None)
-    @given(cover_and_probe(max_inputs=12, min_cubes=2),
-           st.integers(0, 2**32 - 1))
-    def test_cofactor_pairs_drop_mask(self, pair, seed):
-        cover, probe = pair
-        matrix = cm.pack_cubes(cover.cubes, cover.n_inputs, cover.n_outputs)
-        rng = random.Random(seed)
-        drop = np.array([rng.random() < 0.3 for _ in cover.cubes])
-        pairs = cm.cofactor_pairs(matrix, probe.inputs, probe.outputs,
-                                  drop=drop)
-        scalar = [c.cofactor(probe)
-                  for j, c in enumerate(cover.cubes) if not drop[j]]
-        scalar = [(c.inputs, c.outputs) for c in scalar if c is not None]
-        assert pairs == scalar
-
 
 # ----------------------------------------------------------------------
 # cover-level helpers

@@ -15,7 +15,7 @@ from repro.robustness import (SpareFabric, defective_truth_table,
                               overlay_from_map, repair_config,
                               wilson_interval)
 from repro.robustness.repair import (STATUS_CLEAN, STATUS_DEGRADED,
-                                     STATUS_REMAPPED)
+                                     STATUS_REMAPPED, STATUS_REMINIMIZED)
 from repro.robustness.yield_engine import YieldSettings
 from repro.testgen import Fault, FaultSimulator, FaultSite, enumerate_faults
 
@@ -219,6 +219,35 @@ class TestYieldEngine:
         resumed = estimate_yield(small, jobs=2, checkpoint=path,
                                  resume=True)
         assert resumed.to_json() == full.to_json()
+
+    def test_reminimizes_once_per_function_and_config(self, monkeypatch):
+        import importlib
+        from repro.robustness import repair
+        from repro.store.service import reset_service
+        reduce_module = importlib.import_module("repro.espresso.reduce")
+        reduce_cover = reduce_module.reduce_cover
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return reduce_cover(*args, **kwargs)
+
+        monkeypatch.setattr(reduce_module, "reduce_cover", counting)
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        reset_service()
+        settings = YieldSettings(benchmark="syn_small", samples=300, seed=3,
+                                 p_stuck_off=0.02, p_stuck_on=0.01,
+                                 spare_rows=0)
+        monkeypatch.setattr(repair, "_REMINIMIZED", [None, None, None])
+        memoized = estimate_yield(settings, jobs=1)
+        assert len(calls) == 1  # three chunks, one re-minimization
+        assert memoized.status_counts[STATUS_REMINIMIZED] > 0
+        # every chunk re-minimizing, as without the memo
+        monkeypatch.setattr(repair, "_reminimized_config",
+                            repair._reminimize)
+        assert estimate_yield(settings, jobs=1).to_json() == \
+            memoized.to_json()
+        assert len(calls) == 4
 
     def test_report_consistency(self):
         report = estimate_yield(SETTINGS, jobs=1)

@@ -245,6 +245,19 @@ class TestBadRequests:
         ("workload", {"spec": "add2", "action": "eval", "words": "many"}),
         ("evaluate", {"cover": XOR_ENC, "minterms": ["x"]}),
         ("evaluate", {"cover": [], "minterms": [1]}),
+        # a reply above ops.MAX_REPLY_MASKS (2**20 masks)
+        ("evaluate_batch", {"covers": [XOR_ENC], "stream": {
+            "kind": "lfsr", "width": 2, "words": 16385, "seed": 0}}),
+        ("evaluate_batch", {"covers": [XOR_ENC] * 2, "stream": {
+            "kind": "lfsr", "width": 2, "words": 8193, "seed": 0}}),
+        ("evaluate_batch", {"covers": [XOR_ENC] * 2,
+                            "minterms": [0] * (2**19 + 1)}),
+        ("evaluate_batch", {"covers": [XOR_ENC], "stream": {
+            "kind": "dataset", "name": "blobs12", "repeat": 10**9}}),
+        ("evaluate_batch", {"covers": [XOR_ENC], "stream": {
+            "kind": "lfsr", "width": 2, "words": 0, "seed": 0}}),
+        ("evaluate_batch", {"covers": [XOR_ENC], "stream": {
+            "kind": "lfsr", "width": 2, "words": 2.0, "seed": 0}}),
     ])
     def test_replies_bad_request_without_running(self, op, params,
                                                  monkeypatch):
@@ -265,6 +278,14 @@ class TestBadRequests:
             return excinfo.value.code
 
         assert run(scenario()) == "bad_request"
+
+    def test_small_stream_still_evaluates(self):
+        stream = {"kind": "lfsr", "width": 2, "words": 2, "seed": 0}
+        reply = dispatch("evaluate_batch", {"covers": [XOR_ENC],
+                                            "stream": stream})
+        assert len(reply["masks"][0]) == 128
+        assert reply["masks"] == get_service().evaluate_batch(
+            [XOR], stream=stream)
 
     def test_workload_op_leaves_params_unchanged(self):
         import copy
