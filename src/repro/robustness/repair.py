@@ -270,23 +270,23 @@ def _spares_used(fabric: SpareFabric, row_assignment: Dict[int, int],
     return rows, cols
 
 
-#: One-entry memo of :func:`_reminimized_config`: ``[function, config,
-#: result]``.  The yield engine asks once per chunk with the same two
+#: One-entry memo of :func:`_reminimized_config`, ``(function, config,
+#: result)``.  The yield engine asks once per chunk with the same two
 #: objects from its worker cache; holding them keeps their ids unique.
-_REMINIMIZED: list = [None, None, None]
+_REMINIMIZED: tuple = (None, None, None)
 
 
 def _reminimized_config(function: BooleanFunction,
                         config: GNORPlaneConfig) -> Optional[GNORPlaneConfig]:
     """An alternative programming from one more REDUCE-EXPAND-IRREDUNDANT
-    pass over the surviving function, or ``None`` when it degenerates.
-
-    Computed once per ``(function, config)`` pair of objects in a row
-    (:data:`_REMINIMIZED`)."""
-    if _REMINIMIZED[0] is function and _REMINIMIZED[1] is config:
-        return _REMINIMIZED[2]
-    _REMINIMIZED[:] = [function, config, _reminimize(function, config)]
-    return _REMINIMIZED[2]
+    pass over the surviving function, or ``None`` when it degenerates;
+    computed once for repeated calls with the same two objects."""
+    global _REMINIMIZED
+    cached_function, cached_config, result = _REMINIMIZED
+    if cached_function is not function or cached_config is not config:
+        result = _reminimize(function, config)
+        _REMINIMIZED = (function, config, result)
+    return result
 
 
 def _reminimize(function: BooleanFunction,

@@ -25,7 +25,7 @@ from repro.logic.cube import BIT_DASH, BIT_ONE, BIT_ZERO, Cube
 from repro.logic.function import BooleanFunction
 from repro.logic.tautology import is_tautology
 
-np = pytest.importorskip("numpy")
+pytest.importorskip("numpy")
 
 cm = kernels.cubematrix
 

@@ -238,7 +238,7 @@ class TestYieldEngine:
         settings = YieldSettings(benchmark="syn_small", samples=300, seed=3,
                                  p_stuck_off=0.02, p_stuck_on=0.01,
                                  spare_rows=0)
-        monkeypatch.setattr(repair, "_REMINIMIZED", [None, None, None])
+        monkeypatch.setattr(repair, "_REMINIMIZED", (None, None, None))
         memoized = estimate_yield(settings, jobs=1)
         assert len(calls) == 1  # three chunks, one re-minimization
         assert memoized.status_counts[STATUS_REMINIMIZED] > 0
