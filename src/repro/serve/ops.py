@@ -169,7 +169,8 @@ def op_evaluate_batch(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _stream_size(stream: Dict[str, Any]) -> int:
-    """The vectors a stream spec expands to, without expanding it."""
+    """The vectors a stream spec expands to: LFSR words are counted,
+    not expanded, and a dataset is read once, before its ``repeat``."""
     if stream.get("kind") == "dataset":
         from repro.testgen import lfsr
         repeat = check_int("param 'stream.repeat'", stream.get("repeat", 1),
