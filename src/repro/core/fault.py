@@ -14,12 +14,13 @@ column's required state is achievable there:
   fabric's built-in slack.
 
 Repair is then a bipartite matching from logical rows to physical rows
-(Kuhn's augmenting paths, :func:`_max_matching`); the chip is repairable
-iff a perfect matching on the logical side exists.  The device rule and
-the matcher defined here are the ones :mod:`repro.robustness.repair`
-builds its spare-aware repair flow on.  Monte-Carlo sampling over
-defect maps gives the yield-vs-redundancy curves of
-``benchmarks/bench_ablation_yield.py``.
+(Kuhn's augmenting paths, :func:`_max_matching`, on one bitset of
+compatible physical rows per logical row and an explicit stack, so any
+array height works); the chip is repairable iff a perfect matching on
+the logical side exists.  The device rule and the matcher defined here
+are the ones :mod:`repro.robustness.repair` builds its spare-aware
+repair flow on.  Monte-Carlo sampling over defect maps gives the
+yield-vs-redundancy curves of ``benchmarks/bench_ablation_yield.py``.
 """
 
 from __future__ import annotations
@@ -87,36 +88,52 @@ def row_compatible(requirements: Sequence[InputConfig],
                if column < len(requirements))
 
 
-def _max_matching(adjacency: List[List[int]]) -> Dict[int, int]:
-    """Kuhn's augmenting-path maximum bipartite matching.
+def _max_matching(compat: Sequence[int]) -> Dict[int, int]:
+    """Kuhn's augmenting-path maximum bipartite matching on bitsets.
 
-    ``adjacency[r]`` lists the physical rows logical row ``r`` may use;
-    the result maps logical -> physical row.  Logical rows and their
+    ``compat[r]`` is logical row ``r``'s candidate set: bit ``q`` is set
+    when it may use physical row ``q``.  The result maps logical ->
+    physical row, in ascending physical row.  Logical rows and their
     candidates are tried in ascending index order, so the result is
     deterministic across processes (no hash-order dependence, which
     matters because the degraded-mode placement — hence the reported
     correct fraction — depends on which maximum matching gets picked).
+
+    Each row's search is a depth-first search on an explicit stack, so
+    no array is too tall for it.  The next candidate is the lowest set
+    bit of ``compat[row]`` not yet visited; every physical row already
+    tried is visited, so the stack holds only the path (the rows, and
+    the physical row each took), written back to the owners on success.
+
     Each new row claims the lowest candidate it can free and pushes the
     earlier rows one step up, so a clean array comes out
-    *anti*-identity: ``[[0, 1, 2, 3]] * 3`` gives ``{2: 0, 1: 1, 0: 2}``.
+    *anti*-identity: ``[0b1111] * 3`` gives ``{2: 0, 1: 1, 0: 2}``.
     """
-    n_physical = max((q for row in adjacency for q in row), default=-1) + 1
+    n_physical = max((c.bit_length() for c in compat), default=0)
     owner = [-1] * n_physical  # physical row -> logical row
-
-    def augment(r: int, visited: List[bool]) -> bool:
-        for q in adjacency[r]:
-            if not visited[q]:
-                visited[q] = True
+    everything = (1 << n_physical) - 1
+    for r in range(len(compat)):
+        unvisited = everything
+        path: List[Tuple[int, int]] = []  # (row, physical row it took)
+        row = r
+        while True:
+            free = compat[row] & unvisited
+            if free:
+                bit = free & -free
+                unvisited ^= bit
+                q = bit.bit_length() - 1
+                path.append((row, q))
                 holder = owner[q]
-                if holder < 0 or augment(holder, visited):
-                    owner[q] = r
-                    return True
-        return False
-
-    for r in range(len(adjacency)):
-        augment(r, [False] * n_physical)
-    return {r: q for q, r in sorted(
-        (q, r) for q, r in enumerate(owner) if r >= 0)}
+                if holder < 0:
+                    for row, q in path:
+                        owner[q] = row
+                    break
+                row = holder
+            elif path:
+                row = path.pop()[0]  # back to the row that took it
+            else:
+                break  # row r stays unmatched
+    return {r: q for q, r in enumerate(owner) if r >= 0}
 
 
 class FaultTolerantPLA:
@@ -148,10 +165,10 @@ class FaultTolerantPLA:
 
         row_defects = [defect_map.row_defects(q)
                        for q in range(self.n_physical_rows)]
-        adjacency = [[q for q, defects in enumerate(row_defects)
-                      if row_compatible(requirements, defects)]
-                     for requirements in self._requirements]
-        assignment = _max_matching(adjacency)
+        compat = [sum(1 << q for q, defects in enumerate(row_defects)
+                      if row_compatible(requirements, defects))
+                  for requirements in self._requirements]
+        assignment = _max_matching(compat)
         unassigned = [r for r in range(self.config.n_products)
                       if r not in assignment]
         spare_used = sum(1 for q in assignment.values()

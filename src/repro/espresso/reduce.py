@@ -6,14 +6,14 @@ cube covers.  The classical formula is::
 
     c~ = c  ∩  supercube( complement( (F \\ {c} ∪ D) cofactored by c ) )
 
-The complement is computed per output in the cofactor space using the
-unate-recursive complementation of :mod:`repro.logic.complement`.
-
-On the kernel backend the cofactor step runs on the matrix engine
-(:meth:`repro.logic.cover.Cover.cofactor` packs ``rest`` and cofactors
-all rows at once) and the tautology pre-test hits the memoized kernel
-path; the unate-recursive complement itself is still scalar (a known
-remaining hot spot — see the ROADMAP open items).
+:func:`reduce_cover` asks it of the shared coverage table
+(:mod:`repro.espresso.coverage`).  On the NumPy backend the table reads
+the minterms that only ``c`` covers straight off the whole truth table
+and takes their supercube from the acceptance words.  Above the table
+bound, and on the scalar backend, :func:`reduce_cube` answers with the
+formula above: the complement is computed per output in the cofactor
+space by the unate-recursive complementation of
+:mod:`repro.logic.complement`.  Both give the same cube.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import perf
+from repro.espresso.coverage import coverage_table
 from repro.logic.complement import complement_cover
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
@@ -34,20 +35,18 @@ def reduce_cover(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
     *current* cover, with earlier reductions already applied); Espresso's
     heuristic of processing large cubes first is used here too.
     """
+    n, m = cover.n_inputs, cover.n_outputs
+    if not len(cover):
+        return Cover(n, m)
     if dc_set is None:
-        dc_set = Cover.empty(cover.n_inputs, cover.n_outputs)
+        dc_set = Cover.empty(n, m)
 
     cubes = list(cover.cubes)
-    order = sorted(range(len(cubes)), key=lambda i: -cubes[i].size())
-    for i in order:
-        rest = Cover(cover.n_inputs, cover.n_outputs,
-                     [cubes[j] for j in range(len(cubes)) if j != i]
-                     + list(dc_set.cubes))
-        reduced = reduce_cube(cubes[i], rest)
-        if reduced is not None:
-            cubes[i] = reduced
-    kept = [c for c in cubes if not c.is_empty()]
-    return Cover(cover.n_inputs, cover.n_outputs, kept)
+    table = coverage_table(cubes, dc_set, n, m)
+    for i in sorted(range(len(cubes)), key=lambda i: -cubes[i].size()):
+        cubes[i] = table.reduced(i)
+        table.replace(i, cubes[i])
+    return Cover(n, m, [c for c in cubes if not c.is_empty()])
 
 
 def reduce_cube(cube: Cube, rest: Cover) -> Optional[Cube]:

@@ -147,12 +147,11 @@ def _match_rows(config: GNORPlaneConfig, fabric: SpareFabric,
                 defect_map: DefectMap,
                 col_assignment: Dict[int, int]) -> Dict[int, int]:
     """Maximum matching of logical rows onto physical rows (scalar)."""
-    adjacency: List[List[int]] = [
-        [q for q in range(fabric.n_physical_rows)
-         if _row_compatible(config, r, q, defect_map, col_assignment,
-                            fabric.n_input_columns)]
-        for r in range(config.n_products)]
-    return _max_matching(adjacency)
+    compat = [sum(1 << q for q in range(fabric.n_physical_rows)
+                  if _row_compatible(config, r, q, defect_map,
+                                     col_assignment, fabric.n_input_columns))
+              for r in range(config.n_products)]
+    return _max_matching(compat)
 
 
 def _needs_matrix(config: GNORPlaneConfig):
@@ -218,14 +217,15 @@ def _pick_columns_batch(fabric: SpareFabric, stuck_on,
 def _match_rows_batch(needs, config: GNORPlaneConfig, fabric: SpareFabric,
                       stuck_on, other,
                       col_assignment: Dict[int, int]) -> Dict[int, int]:
-    """:func:`_match_rows` with the adjacency scan vectorized.
+    """:func:`_match_rows` with the compatibility scan vectorized.
 
     The scalar scan probes every ``(logical row, physical row, device)``
-    triple through dict lookups; here the whole adjacency falls out of
-    one small matmul over the trial's dense defect matrices.  Candidate
-    lists come out in the same ascending order, so
-    :func:`_max_matching` returns the identical matching — the
-    differential tests hold this to the scalar oracle.
+    triple through dict lookups; here the whole ``(P, Q)`` compatibility
+    matrix falls out of one small matmul over the trial's dense defect
+    matrices.  ``np.packbits`` turns each of its rows into the same
+    candidate bitset the scalar scan builds, so :func:`_max_matching`
+    returns the identical matching — the differential tests hold this
+    to the scalar oracle.
     """
     import numpy as np
     checked = [col_assignment[i] for i in range(config.n_inputs)] + \
@@ -235,9 +235,9 @@ def _match_rows_batch(needs, config: GNORPlaneConfig, fabric: SpareFabric,
     healthy_rows = ~on_checked.any(axis=1)                    # (Q,)
     conflicts = needs @ other_checked.T.astype(np.uint8)      # (P, Q)
     compatible = healthy_rows[None, :] & (conflicts == 0)
-    adjacency = [[int(q) for q in np.flatnonzero(compatible[r])]
-                 for r in range(config.n_products)]
-    return _max_matching(adjacency)
+    packed = np.packbits(compatible, axis=1, bitorder="little")
+    return _max_matching([int.from_bytes(row.tobytes(), "little")
+                          for row in packed])
 
 
 def _pick_columns(fabric: SpareFabric,

@@ -1,19 +1,23 @@
-"""Differential tests: the coverage table against ``covers_cube``.
+"""Differential tests: the coverage table against the scalar engine.
 
 :mod:`repro.espresso.coverage` answers IRREDUNDANT's, the essential
-split's and MAKE_SPARSE's questions on the whole truth table; the
-scalar engine asks :func:`~repro.logic.tautology.covers_cube` instead.
-Both must give the same answer to every question, also after any
-sequence of removed cubes and dropped output taps, on covers with
-DC-sets, empty cubes, zero-output cubes and duplicates.  The closed-form
-acceptance words are checked against the per-variable sweep, and a
-cover above the table bound must take the scalar engine.
+split's, MAKE_SPARSE's and REDUCE's questions on the whole truth table;
+the scalar engine asks :func:`~repro.logic.tautology.covers_cube` and
+:func:`~repro.espresso.reduce.reduce_cube` instead.  Both must give the
+same answer to every question, also after any sequence of removed
+cubes and dropped output taps, and the same reduced cover, on covers
+with DC-sets, empty cubes, zero-output cubes and duplicates.  The
+closed-form acceptance words are checked against the per-variable
+sweep, the supercube of acceptance words against one built from
+explicit minterms, and a cover above the table bound must take the
+scalar engine.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 from repro import kernels, perf
 from repro.espresso import coverage
 from repro.espresso.irredundant import irredundant
+from repro.espresso.reduce import reduce_cover
 from repro.kernels import bitslice
 from repro.logic.cover import Cover
 from repro.logic.cube import BIT_DASH, BIT_ONE, BIT_ZERO, Cube
@@ -86,6 +91,52 @@ def test_engines_agree_along_removals_and_dropped_taps(case, rng):
                 scalar.remove(i)
 
 
+@settings(max_examples=300, deadline=None)
+@given(covers_with_dc())
+def test_reduce_cover_is_the_same_on_both_engines(case):
+    n, m, cubes, dc = case
+    cover = Cover(n, m, cubes)
+    with kernels.forced_backend("numpy"):
+        before = _engine_counts()
+        table = reduce_cover(cover, dc).to_strings()
+        assert _engine_counts() == (before[0] + 1, before[1])
+    with kernels.forced_backend("python"):
+        scalar = reduce_cover(cover, dc).to_strings()
+    assert table == scalar
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+def test_reduce_of_an_empty_cover_builds_no_table(backend):
+    dc = Cover(4, 2, [Cube.from_string("1---", "11")])
+    with kernels.forced_backend(backend):
+        before = _engine_counts()
+        reduced = reduce_cover(Cover(4, 2), dc)
+        assert _engine_counts() == before
+    assert (reduced.n_inputs, reduced.n_outputs, len(reduced)) == (4, 2, 0)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_supercube_of_words_equals_the_minterm_supercube(n):
+    rng = random.Random(100 + n)
+    n_words = max(1, (1 << n) // bitslice.WORD)
+    for _ in range(20):
+        chosen = [rng.randrange(1 << n)
+                  for _ in range(rng.choice([1, 2, 3, 1 << n]))]
+        expected = 0
+        for minterm in chosen:
+            for v in range(n):
+                expected |= (BIT_ONE if minterm >> v & 1 else BIT_ZERO) \
+                    << (2 * v)
+        words = np.zeros((2, n_words), dtype=np.uint64)
+        for j, minterm in enumerate(chosen):  # spread over two rows
+            words[j % 2, minterm // 64] |= np.uint64(1 << (minterm % 64))
+        if n < 6:  # bits past 2^n are no minterms
+            words[0, 0] |= np.uint64(~((1 << (1 << n)) - 1) & (2**64 - 1))
+        assert coverage.supercube_inputs(words, n) == expected
+        assert coverage.supercube_inputs(words[0] | words[1], n) == \
+            expected
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_exhaustive_accepts_equals_the_sweep(n):
     rng = random.Random(n)
@@ -135,3 +186,22 @@ def test_cover_above_the_bound_takes_the_scalar_engine(monkeypatch):
         oracle = irredundant(cover, dc).to_strings()
     assert fallback == exhaustive == oracle
     assert len(oracle) < 40
+
+
+def test_reduce_above_the_bound_takes_the_scalar_engine(monkeypatch):
+    rng = random.Random(23)
+    cover = Cover.random(19, 2, 30, rng, dash_probability=0.7)
+    dc = Cover.random(19, 2, 2, rng, dash_probability=0.8)
+    assert (30 + 2 + 2) * (1 << 19) // 64 > coverage.MAX_WORDS
+
+    with kernels.forced_backend("numpy"):
+        before = _engine_counts()
+        fallback = reduce_cover(cover, dc).to_strings()
+        assert _engine_counts() == (before[0], before[1] + 1)
+        monkeypatch.setattr(coverage, "MAX_WORDS", 1 << 20)
+        exhaustive = reduce_cover(cover, dc).to_strings()
+        assert _engine_counts() == (before[0] + 1, before[1] + 1)
+    with kernels.forced_backend("python"):
+        oracle = reduce_cover(cover, dc).to_strings()
+    assert fallback == exhaustive == oracle
+    assert fallback != cover.to_strings()  # some cube did shrink

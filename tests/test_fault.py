@@ -1,5 +1,6 @@
 """Tests for the fault-tolerant PLA flow (Section 5, [6])."""
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -131,6 +132,37 @@ def adjacencies(draw, min_logical=0, max_logical=6, max_physical=8):
     return adjacency, n_physical
 
 
+def bitsets(adjacency):
+    """The matcher's input: one candidate bitset per logical row."""
+    return [sum(1 << q for q in row) for row in adjacency]
+
+
+def recursive_matching(adjacency):
+    """The recursive, list-based Kuhn matcher: the matcher's oracle.
+
+    ``adjacency[r]`` lists logical row ``r``'s candidates in ascending
+    order.  Each augmenting search recurses once per displaced row, so
+    arrays of about 1,000 rows exceed Python's recursion limit.
+    """
+    n_physical = max((q for row in adjacency for q in row), default=-1) + 1
+    owner = [-1] * n_physical  # physical row -> logical row
+
+    def augment(r, visited):
+        for q in adjacency[r]:
+            if not visited[q]:
+                visited[q] = True
+                holder = owner[q]
+                if holder < 0 or augment(holder, visited):
+                    owner[q] = r
+                    return True
+        return False
+
+    for r in range(len(adjacency)):
+        augment(r, [False] * n_physical)
+    return {r: q for q, r in sorted(
+        (q, r) for q, r in enumerate(owner) if r >= 0)}
+
+
 def brute_force_max_matching(adjacency):
     """Size of a maximum matching by exhaustive search over assignments."""
     @lru_cache(maxsize=None)
@@ -173,7 +205,7 @@ class TestMatcherOracle:
     @given(adjacencies())
     def test_matching_is_maximum_and_valid(self, case):
         adjacency, _n_physical = case
-        matching = _max_matching(adjacency)
+        matching = _max_matching(bitsets(adjacency))
         assert len(matching) == brute_force_max_matching(adjacency)
         assert len(set(matching.values())) == len(matching)
         for r, q in matching.items():
@@ -196,7 +228,30 @@ class TestMatcherOracle:
     def test_clean_array_layout_is_anti_identity(self):
         # ascending Kuhn: each new row claims physical row 0 and pushes
         # the earlier rows one step up
-        assert _max_matching([[0, 1, 2, 3]] * 3) == {2: 0, 1: 1, 0: 2}
+        assert _max_matching([0b1111] * 3) == {2: 0, 1: 1, 0: 2}
+
+    @settings(max_examples=300, deadline=None)
+    @given(adjacencies(max_logical=12, max_physical=16))
+    def test_bitset_matcher_equals_recursive_oracle(self, case):
+        adjacency, _n_physical = case
+        expected = recursive_matching(adjacency)
+        # the whole dict, in its order (ascending physical row)
+        assert list(_max_matching(bitsets(adjacency)).items()) == \
+            list(expected.items())
+
+    def test_near_complete_array_equals_recursive_oracle(self):
+        rng = random.Random(252)
+        adjacency = [[q for q in range(254) if rng.random() > 0.01]
+                     for _ in range(252)]
+        assert list(_max_matching(bitsets(adjacency)).items()) == \
+            list(recursive_matching(adjacency).items())
+
+    def test_tall_clean_array_needs_no_recursion(self):
+        # every row pushes all earlier rows: the recursive matcher
+        # exceeds the recursion limit here
+        matching = _max_matching([(1 << 1202) - 1] * 1200)
+        assert list(matching.items()) == \
+            [(1199 - q, q) for q in range(1200)]
 
 
 class TestYield:
