@@ -49,12 +49,11 @@ def reduce_cover(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
     return Cover(n, m, [c for c in cubes if not c.is_empty()])
 
 
-def reduce_cube(cube: Cube, rest: Cover) -> Optional[Cube]:
+def reduce_cube(cube: Cube, rest: Cover) -> Cube:
     """The maximal reduction of ``cube`` against cover ``rest``.
 
-    Returns ``None`` (caller keeps the original) when the reduction is
-    ill-defined, or an (possibly empty) cube otherwise.  An empty result
-    means the rest of the cover already covers the cube entirely.
+    An empty result means the rest of the cover already covers the cube
+    entirely.
     """
     cofactored = rest.cofactor(cube)
     if is_tautology(cofactored):

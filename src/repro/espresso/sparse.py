@@ -75,7 +75,7 @@ def last_gasp(cover: Cover, off_set: Cover,
                      cover.cubes[:i] + cover.cubes[i + 1:]
                      + list(dc_set.cubes))
         reduced = reduce_cube(cube, rest)
-        if reduced is not None and not reduced.is_empty():
+        if not reduced.is_empty():
             reduced_cubes.append(reduced)
 
     # expand the reductions; keep primes that swallow >= 2 reductions
